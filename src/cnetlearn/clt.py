@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import WeightedDataset, DatasetError, pair_counts
-from .numerics import log_gamma
 
 __all__ = [
     "ChowLiuTree",
@@ -111,18 +110,6 @@ def mutual_information(d: WeightedDataset, i: int, j: int) -> float:
     return _mi_from_table(pair_counts(d, i, j), total)
 
 
-def _pairwise_counts(d: WeightedDataset):
-    """All pairwise weighted counts at once.
-
-    Returns (total, n1, n11) where n1[v] is the weight of rows with
-    x_v = 1 and n11[u, v] the weight of rows with x_u = x_v = 1.
-    """
-    x = d.samples.astype(np.float64)
-    n11 = (x * d.weights[:, None]).T @ x
-    n1 = np.diag(n11).copy()
-    return d.total_weight, n1, n11
-
-
 def _mi_matrix(total: float, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
     dvars = len(n1)
     counts = np.empty((2, 2, dvars, dvars))
@@ -149,10 +136,8 @@ def _max_spanning_tree(mi: np.ndarray) -> list:
     """Kruskal on the complete graph; ties prefer the lexicographically
     smaller (i, j) pair, so results are reproducible."""
     dvars = mi.shape[0]
-    edges = sorted(
-        ((i, j) for i in range(dvars) for j in range(i + 1, dvars)),
-        key=lambda e: (-mi[e[0], e[1]], e[0], e[1]),
-    )
+    iu, ju = np.triu_indices(dvars, 1)
+    order = np.lexsort((ju, iu, -mi[iu, ju]))
     parent = list(range(dvars))
 
     def find(a: int) -> int:
@@ -162,7 +147,7 @@ def _max_spanning_tree(mi: np.ndarray) -> list:
         return a
 
     chosen = []
-    for i, j in edges:
+    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
@@ -197,32 +182,15 @@ def _orient(dvars: int, edges: list):
     return parents, order
 
 
-def _smoothed_row(counts: np.ndarray, beta: float) -> np.ndarray:
-    """(n_x + beta) / (n + 2 beta), falling back to uniform when both the
-    counts and beta are zero."""
-    denom = counts.sum() + 2.0 * beta
-    if denom <= 0:
-        return np.array([0.5, 0.5])
-    return (counts + beta) / denom
-
-
 def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> list:
     """Maximum-likelihood CPTs with additive smoothing `beta`, for a fixed
-    tree structure over exactly the dataset's variables."""
-    cpts = []
-    w = d.weights
-    for v in range(d.n_vars):
-        xv = d.samples[:, v].astype(np.int64)
-        if parents[v] < 0:
-            counts = np.zeros(2)
-            np.add.at(counts, xv, w)
-            cpts.append(_smoothed_row(counts, beta)[None, :])
-        else:
-            xu = d.samples[:, parents[v]].astype(np.int64)
-            table = np.zeros((2, 2))
-            np.add.at(table, (xu, xv), w)
-            cpts.append(np.vstack([_smoothed_row(table[u], beta) for u in (0, 1)]))
-    return cpts
+    tree structure over exactly the dataset's variables: each row is
+    (n_x + beta) / (n + 2 beta), or uniform when that denominator is 0."""
+    table = d.family_counts(parents)
+    denom = table[:, :, 0] + table[:, :, 1] + 2.0 * beta
+    rows = (table + beta) / np.where(denom > 0, denom, 1.0)[:, :, None]
+    rows[denom <= 0] = 0.5
+    return [rows[v, :1] if p < 0 else rows[v] for v, p in enumerate(parents.tolist())]
 
 
 def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
@@ -240,10 +208,8 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
         parents = np.array([-1], dtype=np.int64)
         order = np.array([0], dtype=np.int64)
     else:
-        total = d.total_weight
-        if total > 0:
-            total, n1, n11 = _pairwise_counts(d)
-            mi = _mi_matrix(total, n1, n11)
+        if d.total_weight > 0:
+            mi = _mi_matrix(*d.gram_counts())
         else:
             mi = np.zeros((dvars, dvars))
         edges = _max_spanning_tree(mi)
@@ -291,14 +257,7 @@ def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:
     return float(d.weights[live] @ rows[live])
 
 
-def _bd_family(counts: np.ndarray, alpha: float) -> float:
-    """Marginal likelihood of one Dirichlet(alpha/2, alpha/2) row with the
-    given branch counts."""
-    n = counts.sum()
-    score = log_gamma(alpha) - log_gamma(alpha + n)
-    for k in (0, 1):
-        score += log_gamma(alpha / 2 + counts[k]) - log_gamma(alpha / 2)
-    return score
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
@@ -310,20 +269,18 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_scope(t, d)
-    w = d.weights
+    has_row = np.ones((t.n_vars, 2), dtype=bool)
+    has_row[t.parents < 0, 1] = False
+    rows = d.family_counts(t.parents)[has_row]  # one CPT row per family, by variable
+    half = alpha / 2
+    terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, 0] + rows[:, 1]))
+    terms += _lgamma(half + rows[:, 0]) - math.lgamma(half)
+    terms += _lgamma(half + rows[:, 1]) - math.lgamma(half)
+    # a sequential sum in this term order: whether a cut with a delta
+    # near 0 is accepted can hinge on the last bit
     score = 0.0
-    for v in range(t.n_vars):
-        xv = d.samples[:, v].astype(np.int64)
-        if t.parents[v] < 0:
-            counts = np.zeros(2)
-            np.add.at(counts, xv, w)
-            score += _bd_family(counts, alpha)
-        else:
-            xu = d.samples[:, t.parents[v]].astype(np.int64)
-            table = np.zeros((2, 2))
-            np.add.at(table, (xu, xv), w)
-            for u in (0, 1):
-                score += _bd_family(table[u], alpha)
+    for term in terms.tolist():
+        score += term
     return score
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .clt import ChowLiuTree, clt_log_density_rows, clt_mpe, clt_sample, learn_clt
 from .data import DatasetError, WeightedDataset
-from .scores import BIC, CutCandidate, ScoreConfig, evaluate_cut
+from .scores import BIC, CutCandidate, ScoreConfig, _leaf_score, evaluate_cut
 
 __all__ = [
     "Leaf",
@@ -114,15 +114,27 @@ def _xlogx(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_entropy(samples: np.ndarray, weights: np.ndarray) -> float:
-    """Average over columns of the weighted binary entropy (nats)."""
-    total = float(weights.sum())
-    if total <= 0:
-        return 0.0
-    c1 = weights @ samples
-    c0 = total - c1
-    h = math.log(total) - (_xlogx(c0) + _xlogx(c1)) / total
-    return float(h.mean())
+def _information_gains(d: WeightedDataset) -> np.ndarray:
+    """information_gain of every column, in one pass over the Gram counts.
+
+    For a split on v the part with x_v = 1 weighs n1[v] and holds
+    n11[v, u] ones of column u; the part with x_v = 0 holds the rest.
+    """
+    if d.total_weight <= 0:
+        raise DatasetError("information gain of a zero-weight dataset")
+    total, n1, n11 = d.gram_counts()
+
+    def mean_entropy(part, ones):
+        # column-averaged weighted binary entropy (nats) of each part
+        h = np.log(part) - (_xlogx(part - ones) + _xlogx(ones)) / part
+        return h.mean(axis=-1)
+
+    gain = np.full(d.n_vars, mean_entropy(total, n1))
+    for part, ones in ((total - n1, n1 - n11), (n1, n11)):
+        live = part > 0
+        gain[live] -= (part[live] / total) * mean_entropy(part[live, None], ones[live])
+    gain[d.samples.min(axis=0) == d.samples.max(axis=0)] = 0.0
+    return gain
 
 
 def information_gain(d: WeightedDataset, var: int) -> float:
@@ -132,21 +144,8 @@ def information_gain(d: WeightedDataset, var: int) -> float:
     """
     if d.n_vars < 2:
         raise DatasetError("information gain needs at least two variables")
-    col = int(np.searchsorted(d.variable_ids, var))
-    if col >= d.n_vars or d.variable_ids[col] != var:
-        raise DatasetError(f"variable {var} not in dataset")
-    total = d.total_weight
-    if total <= 0:
-        raise DatasetError("information gain of a zero-weight dataset")
-    gain = _mean_entropy(d.samples, d.weights)
-    vals = d.samples[:, col]
-    for k in (0, 1):
-        mask = vals == k
-        wk = d.weights[mask]
-        part = float(wk.sum())
-        if part > 0:
-            gain -= (part / total) * _mean_entropy(d.samples[mask], wk)
-    return gain
+    col = d.column(var)
+    return float(_information_gains(d)[col])
 
 
 def select_best_candidates(d: WeightedDataset, lam: int) -> list:
@@ -156,11 +155,8 @@ def select_best_candidates(d: WeightedDataset, lam: int) -> list:
         raise ValueError("lam must be at least 1")
     if d.n_vars < 2:
         raise DatasetError("candidate selection needs at least two variables")
-    ranked = sorted(
-        (int(v) for v in d.variable_ids),
-        key=lambda v: (-information_gain(d, v), v),
-    )
-    return ranked[: min(lam, len(ranked))]
+    ranked = np.lexsort((d.variable_ids, -_information_gains(d)))
+    return d.variable_ids[ranked[:lam]].tolist()
 
 
 def _select_best_cut(
@@ -169,9 +165,10 @@ def _select_best_cut(
     candidates: list,
     score: ScoreConfig,
 ):
+    before = _leaf_score(leaf_tree, d_leaf, score)
     best = None
     for var in sorted(candidates):
-        cand = evaluate_cut(leaf_tree, d_leaf, var, score)
+        cand = evaluate_cut(leaf_tree, d_leaf, var, score, leaf_score=before)
         if best is None or cand.delta > best.delta:
             best = cand
     if best is None or best.delta <= 0:

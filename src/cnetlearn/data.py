@@ -26,11 +26,15 @@ class WeightedDataset:
     samples       -- (n_rows, n_vars) array of {0,1}, dtype uint8
     weights       -- (n_rows,) nonnegative reals
     variable_ids  -- global variable index of each column, strictly increasing
+
+    Counts are memoized per instance, so a dataset must not be changed
+    in place once it has been counted.
     """
 
     samples: np.ndarray
     weights: np.ndarray
     variable_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.uint8)
@@ -72,6 +76,32 @@ class WeightedDataset:
         if pos >= self.n_vars or self.variable_ids[pos] != var:
             raise DatasetError(f"variable {var} not in dataset")
         return pos
+
+    def gram_counts(self) -> tuple:
+        """(total, n1, n11): the total weight, n1[v] the weight of rows
+        with x_v = 1 and n11[u, v] the weight of rows with x_u = x_v = 1."""
+        got = self._counts.get("gram")
+        if got is None:
+            x = self.samples.astype(np.float64)
+            n11 = (x * self.weights[:, None]).T @ x
+            got = self._counts["gram"] = (self.total_weight, np.diag(n11).copy(), n11)
+        return got
+
+    def family_counts(self, parents: np.ndarray) -> np.ndarray:
+        """Read-only (n_vars, 2, 2) table: table[v, u, x] is the weight of
+        rows with x_v = x and x_parents[v] = u (u = 0 at a root).  bincount
+        adds the weights in row order, so each entry is their sequential sum."""
+        key = parents.tobytes()
+        table = self._counts.get(key)
+        if table is None:
+            table = np.empty((self.n_vars, 2, 2))
+            for v, p in enumerate(parents.tolist()):
+                xv = self.samples[:, v]
+                code = xv if p < 0 else 2 * self.samples[:, p] + xv
+                table[v] = np.bincount(code, self.weights, minlength=4).reshape(2, 2)
+            table.flags.writeable = False
+            self._counts[key] = table
+        return table
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """Same samples, new per-row weights."""

@@ -192,15 +192,28 @@ class CutCandidate:
     child_data: tuple
 
 
+def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
+    """The leaf's own term of the configured score: its BD score, or its
+    log-likelihood after a refit with the BIC smoothing."""
+    if cfg.kind == BD:
+        return clt_bd_score(leaf, d_leaf, cfg.alpha)
+    return clt_log_likelihood(_refit_tree(leaf, d_leaf, cfg.beta), d_leaf)
+
+
 def evaluate_cut(
-    leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg: ScoreConfig
+    leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg: ScoreConfig,
+    leaf_score: float | None = None,
 ) -> CutCandidate:
     """Score change of replacing `leaf` by a decision node on `var` with
-    two freshly learned Chow-Liu children."""
+    two freshly learned Chow-Liu children.  A caller that evaluates many
+    cuts of one leaf passes the leaf's own score term as `leaf_score`,
+    so it is computed once."""
     if leaf.n_vars < 2:
         raise DatasetError("cannot cut a leaf with fewer than two variables")
     if var not in leaf.variable_ids:
         raise DatasetError(f"variable {var} not in leaf scope")
+    if leaf_score is None:
+        leaf_score = _leaf_score(leaf, d_leaf, cfg)
     d0 = restrict(d_leaf, var, 0)
     d1 = restrict(d_leaf, var, 1)
     counts = SumNodeCounts(d0.total_weight, d1.total_weight)
@@ -212,7 +225,7 @@ def evaluate_cut(
             bd_sum_node(counts, cfg.alpha)
             + clt_bd_score(t0, d0, cfg.alpha)
             + clt_bd_score(t1, d1, cfg.alpha)
-            - clt_bd_score(leaf, d_leaf, cfg.alpha)
+            - leaf_score
         )
     else:
         ll_after = (
@@ -220,10 +233,9 @@ def evaluate_cut(
             + clt_log_likelihood(t0, d0)
             + clt_log_likelihood(t1, d1)
         )
-        ll_before = clt_log_likelihood(_refit_tree(leaf, d_leaf, cfg.beta), d_leaf)
         extra_params = 2 * leaf.n_vars - 4
         penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
-        delta = ll_after - ll_before - penalty
+        delta = ll_after - leaf_score - penalty
 
     return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
 

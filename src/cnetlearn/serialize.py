@@ -155,4 +155,7 @@ def load_model(path):
             raise DatasetError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetError(f"{path}: not a valid model file")
-    return model_from_dict(obj)
+    try:
+        return model_from_dict(obj)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise DatasetError(f"{path}: not a valid model file: {exc!r}") from exc

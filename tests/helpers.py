@@ -280,3 +280,109 @@ def routed_decision_counts(net, d: WeightedDataset) -> dict:
             counts.setdefault(id(node), [0.0, 0.0])[k] += float(w)
             node = node.children[k]
     return counts
+
+
+# ---------------------------------------------------------------------------
+# slow references for the counting fast paths: one family, one variable
+# or one edge at a time, as the library computed them before it counted
+# each dataset once
+
+def ref_fit_cpts(d: WeightedDataset, parents, beta: float) -> list:
+    """Per-family CPT fit by np.add.at, one smoothed row at a time."""
+
+    def smoothed_row(counts):
+        denom = counts.sum() + 2.0 * beta
+        if denom <= 0:
+            return np.array([0.5, 0.5])
+        return (counts + beta) / denom
+
+    cpts = []
+    w = d.weights
+    for v in range(d.n_vars):
+        xv = d.samples[:, v].astype(np.int64)
+        if parents[v] < 0:
+            counts = np.zeros(2)
+            np.add.at(counts, xv, w)
+            cpts.append(smoothed_row(counts)[None, :])
+        else:
+            xu = d.samples[:, parents[v]].astype(np.int64)
+            table = np.zeros((2, 2))
+            np.add.at(table, (xu, xv), w)
+            cpts.append(np.vstack([smoothed_row(table[u]) for u in (0, 1)]))
+    return cpts
+
+
+def ref_bd_family(counts, alpha: float) -> float:
+    """Log marginal likelihood of one Dirichlet(alpha/2, alpha/2) row."""
+    n = counts.sum()
+    score = math.lgamma(alpha) - math.lgamma(alpha + n)
+    for k in (0, 1):
+        score += math.lgamma(alpha / 2 + counts[k]) - math.lgamma(alpha / 2)
+    return score
+
+
+def ref_clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
+    """Tree BD score summed family by family, in variable order."""
+    w = d.weights
+    score = 0.0
+    for v in range(t.n_vars):
+        xv = d.samples[:, v].astype(np.int64)
+        if t.parents[v] < 0:
+            counts = np.zeros(2)
+            np.add.at(counts, xv, w)
+            score += ref_bd_family(counts, alpha)
+        else:
+            xu = d.samples[:, t.parents[v]].astype(np.int64)
+            table = np.zeros((2, 2))
+            np.add.at(table, (xu, xv), w)
+            for u in (0, 1):
+                score += ref_bd_family(table[u], alpha)
+    return score
+
+
+def _ref_mean_entropy(samples: np.ndarray, weights: np.ndarray) -> float:
+    total = float(weights.sum())
+    if total <= 0:
+        return 0.0
+    c1 = weights @ samples
+    c0 = total - c1
+    xlogx = lambda c: np.where(c > 0, c * np.log(np.where(c > 0, c, 1.0)), 0.0)
+    h = math.log(total) - (xlogx(c0) + xlogx(c1)) / total
+    return float(h.mean())
+
+
+def ref_information_gain(d: WeightedDataset, var: int) -> float:
+    """Gain of one split, from the entropies of the two masked row sets."""
+    total = d.total_weight
+    gain = _ref_mean_entropy(d.samples, d.weights)
+    vals = d.samples[:, d.column(var)]
+    for k in (0, 1):
+        mask = vals == k
+        wk = d.weights[mask]
+        part = float(wk.sum())
+        if part > 0:
+            gain -= (part / total) * _ref_mean_entropy(d.samples[mask], wk)
+    return gain
+
+
+def ref_max_spanning_tree(mi: np.ndarray) -> list:
+    """Kruskal over an edge list sorted in Python by (-mi, i, j)."""
+    dvars = mi.shape[0]
+    edges = sorted(
+        ((i, j) for i in range(dvars) for j in range(i + 1, dvars)),
+        key=lambda e: (-mi[e[0], e[1]], e[0], e[1]),
+    )
+    parent = list(range(dvars))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    chosen = []
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            chosen.append((i, j))
+    return chosen

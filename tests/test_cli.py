@@ -324,6 +324,29 @@ def test_malformed_csv_is_usage_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda m: m["net"].pop("root"),
+        lambda m: m.pop("score"),
+        lambda m: m["net"].__setitem__("root", 7),
+        lambda m: m["net"]["root"].__setitem__("var", None),
+    ],
+    ids=["no-root", "no-score", "root-not-object", "var-not-int"],
+)
+def test_malformed_model_file_is_usage_error(tmp_path, train_csv, capsys, damage):
+    model = tmp_path / "model.json"
+    assert main(["learn", str(train_csv), "--out", str(model)]) == 0
+    obj = json.loads(model.read_text())
+    assert obj["net"]["root"]["kind"] == "decision"
+    damage(obj)
+    model.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval", str(model), str(train_csv)]) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "internal error" not in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
