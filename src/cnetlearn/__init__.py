@@ -28,7 +28,6 @@ from .cnet import (
     select_best_cut,
 )
 from .circuit import (
-    BernoulliLeaf,
     Circuit,
     CircuitSize,
     IndicatorLeaf,

@@ -29,7 +29,6 @@ __all__ = [
     "SumNode",
     "ProductNode",
     "IndicatorLeaf",
-    "BernoulliLeaf",
     "Circuit",
     "CircuitSize",
     "make_circuit",
@@ -63,16 +62,6 @@ class IndicatorLeaf:
     var: int
     value: int
     kind = "indicator"
-
-
-@dataclass(eq=False)
-class BernoulliLeaf:
-    """Single-variable distribution leaf, used by hand-built circuits;
-    the compiler itself only emits indicators."""
-
-    var: int
-    p: float
-    kind = "bernoulli"
 
 
 @dataclass(eq=False)
@@ -116,11 +105,9 @@ def make_circuit(root) -> Circuit:
 
     scopes = {}
     for node in nodes:
-        if node.kind in ("indicator", "bernoulli"):
-            if node.kind == "indicator" and node.value not in (0, 1):
+        if node.kind == "indicator":
+            if node.value not in (0, 1):
                 raise ValueError("indicator value must be 0 or 1")
-            if node.kind == "bernoulli" and not 0.0 <= node.p <= 1.0:
-                raise ValueError("bernoulli parameter must lie in [0, 1]")
             scopes[id(node)] = frozenset([int(node.var)])
             continue
         if not node.inputs:
@@ -208,74 +195,47 @@ def _check_x(x: np.ndarray, n_cols: int) -> np.ndarray:
     return x.astype(np.int64, copy=False)
 
 
-def _forward_chunk(circuit: Circuit, x: np.ndarray, col: dict) -> dict:
-    """Linear-domain value vector for every node, on one row chunk."""
+_CHUNK = 4096
+
+
+def _log_forward(circuit: Circuit, chunk: np.ndarray, col: dict) -> dict:
+    """Log-domain value vector for every node, on one row chunk."""
     vals = {}
     for node in circuit.nodes:
         if node.kind == "indicator":
-            v = (x[:, col[int(node.var)]] == node.value).astype(np.float64)
-        elif node.kind == "bernoulli":
-            xv = x[:, col[int(node.var)]]
-            v = np.where(xv == 1, node.p, 1.0 - node.p)
+            ok = chunk[:, col[int(node.var)]] == node.value
+            v = np.where(ok, 0.0, -np.inf)
         elif node.kind == "product":
             v = vals[id(node.inputs[0])].copy()
             for child in node.inputs[1:]:
-                v *= vals[id(child)]
+                v = v + vals[id(child)]
         else:
-            v = np.zeros(x.shape[0])
-            for wk, child in zip(node.weights, node.inputs):
-                v += wk * vals[id(child)]
+            with np.errstate(divide="ignore"):
+                logw = np.log(np.asarray(node.weights, dtype=np.float64))
+            stacked = np.stack(
+                [logw[k] + vals[id(c)] for k, c in enumerate(node.inputs)]
+            )
+            v = log_sum_exp_rows(stacked)
         vals[id(node)] = v
     return vals
 
 
-_CHUNK = 4096
+def circuit_log_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
+    """Root log value per row; computed entirely in the log domain.
+    Columns follow `variable_ids`, default ascending root scope."""
+    col = _column_map(circuit, variable_ids)
+    x = _check_x(x, len(col))
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _CHUNK):
+        chunk = x[lo : lo + _CHUNK]
+        vals = _log_forward(circuit, chunk, col)
+        out[lo : lo + len(chunk)] = vals[id(circuit.root)]
+    return out
 
 
 def circuit_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
-    """Root value (linear domain) per row of `x`; columns follow
-    `variable_ids`, default ascending root scope."""
-    col = _column_map(circuit, variable_ids)
-    x = _check_x(x, len(col))
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _CHUNK):
-        chunk = x[lo : lo + _CHUNK]
-        out[lo : lo + len(chunk)] = _forward_chunk(circuit, chunk, col)[
-            id(circuit.root)
-        ]
-    return out
-
-
-def circuit_log_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
-    """Root log value per row; computed entirely in the log domain."""
-    col = _column_map(circuit, variable_ids)
-    x = _check_x(x, len(col))
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _CHUNK):
-        chunk = x[lo : lo + _CHUNK]
-        vals = {}
-        for node in circuit.nodes:
-            if node.kind == "indicator":
-                ok = chunk[:, col[int(node.var)]] == node.value
-                v = np.where(ok, 0.0, -np.inf)
-            elif node.kind == "bernoulli":
-                xv = chunk[:, col[int(node.var)]]
-                with np.errstate(divide="ignore"):
-                    v = np.where(xv == 1, np.log(node.p), np.log(1.0 - node.p))
-            elif node.kind == "product":
-                v = vals[id(node.inputs[0])].copy()
-                for child in node.inputs[1:]:
-                    v = v + vals[id(child)]
-            else:
-                with np.errstate(divide="ignore"):
-                    logw = np.log(np.asarray(node.weights, dtype=np.float64))
-                stacked = np.stack(
-                    [logw[k] + vals[id(c)] for k, c in enumerate(node.inputs)]
-                )
-                v = log_sum_exp_rows(stacked)
-            vals[id(node)] = v
-        out[lo : lo + len(chunk)] = vals[id(circuit.root)]
-    return out
+    """Root value (linear domain) per row: exp of circuit_log_values."""
+    return np.exp(circuit_log_values(circuit, x, variable_ids))
 
 
 def check_smooth(circuit: Circuit) -> bool:
@@ -308,7 +268,8 @@ def check_deterministic(
     circuit: Circuit, x=None, variable_ids=None, max_exhaustive_vars: int = 20
 ) -> bool:
     """True iff on every checked complete assignment, at most one input
-    of each sum node evaluates to a positive value.
+    of each sum node evaluates to a positive value (a log value above
+    -inf, so tiny values that underflow a linear pass still count).
 
     With `x` omitted, all assignments over the root scope are enumerated
     (refused above `max_exhaustive_vars` variables; pass samples then).
@@ -325,11 +286,11 @@ def check_deterministic(
     x = _check_x(x, len(col))
     sums = [n for n in circuit.nodes if n.kind == "sum"]
     for lo in range(0, x.shape[0], _CHUNK):
-        vals = _forward_chunk(circuit, x[lo : lo + _CHUNK], col)
+        vals = _log_forward(circuit, x[lo : lo + _CHUNK], col)
         for node in sums:
             positive = np.zeros(len(vals[id(node)]), dtype=np.int64)
             for child in node.inputs:
-                positive += vals[id(child)] > 0
+                positive += vals[id(child)] > -np.inf
             if np.any(positive > 1):
                 return False
     return True
@@ -344,7 +305,7 @@ class CircuitSize:
 
 def circuit_size(circuit: Circuit) -> CircuitSize:
     """Node, edge, and free-parameter totals.  A sum with k inputs holds
-    k - 1 free parameters, a Bernoulli leaf one, everything else none."""
+    k - 1 free parameters, everything else none."""
     nodes = len(circuit.nodes)
     edges = 0
     params = 0
@@ -352,8 +313,6 @@ def circuit_size(circuit: Circuit) -> CircuitSize:
         edges += len(getattr(node, "inputs", ()))
         if node.kind == "sum":
             params += len(node.inputs) - 1
-        elif node.kind == "bernoulli":
-            params += 1
     return CircuitSize(nodes, edges, params)
 
 
@@ -381,8 +340,6 @@ def dump_circuit(circuit: Circuit) -> str:
     for i, node in enumerate(circuit.nodes):
         if node.kind == "indicator":
             lines.append(f"{i} IND {int(node.var)}={int(node.value)}")
-        elif node.kind == "bernoulli":
-            lines.append(f"{i} BERN {int(node.var)} p={node.p!r}")
         else:
             scope = ",".join(str(v) for v in sorted(circuit.scope(node)))
             ins = ",".join(str(index[id(c)]) for c in node.inputs)

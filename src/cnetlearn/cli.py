@@ -26,7 +26,13 @@ from .cnet import (
     learn_cnet,
 )
 from .data import DatasetError, WeightedDataset, load_csv, save_csv
-from .mixture import Mixture, learn_sem, mixture_log_density, mixture_log_density_rows
+from .mixture import (
+    Mixture,
+    learn_sem,
+    log_density_rows,
+    mean_log_likelihood,
+    mixture_log_density,
+)
 from .numerics import log_sum_exp_rows
 from .scores import BD, BIC, ScoreConfig, bd_cnet, bic_cnet, structure_param_count
 from .serialize import load_model, save_model
@@ -84,15 +90,6 @@ def _net_score(net: CutsetNetwork, d: WeightedDataset, score: ScoreConfig) -> fl
     return bic_cnet(net, d, cfg)
 
 
-def _train_ll(model, d: WeightedDataset) -> float:
-    if isinstance(model, Mixture):
-        rows = mixture_log_density_rows(model, d.samples)
-    else:
-        rows = cnet_log_density_rows(model, d.samples)
-    live = d.weights > 0
-    return float(d.weights[live] @ rows[live]) / d.total_weight
-
-
 def cmd_learn(args) -> int:
     d = load_csv(args.train)
     cfg = _learner_config(args)
@@ -113,7 +110,7 @@ def cmd_learn(args) -> int:
     _emit(rows=d.n_rows, vars=d.n_vars)
     _emit(decisions=decisions, leaves=leaves, params=structure_param_count(net))
     _emit(score=_net_score(net, d, cfg.score))
-    _emit(train_ll_per_sample=_train_ll(net, d))
+    _emit(train_ll_per_sample=mean_log_likelihood(net, d))
     _emit(time_s=round(elapsed, 6))
     _emit(model=str(args.out))
     return 0
@@ -143,10 +140,10 @@ def cmd_learn_mixture(args) -> int:
         t0 = time.perf_counter()
         model = learn_sem(d, k, cfg, rng, max_iters=args.max_iters, tol=args.tol)
         elapsed = time.perf_counter() - t0
-        train_ll = _train_ll(model, d)
+        train_ll = mean_log_likelihood(model, d)
         select_ll = train_ll
         if d_valid is not None:
-            valid_ll = _train_ll(model, d_valid)
+            valid_ll = mean_log_likelihood(model, d_valid)
             select_ll = valid_ll
             _emit(
                 K=k,
@@ -187,12 +184,6 @@ def _check_data_scope(model, d: WeightedDataset) -> None:
         )
 
 
-def _log_rows(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, Mixture):
-        return mixture_log_density_rows(model, x)
-    return cnet_log_density_rows(model, x)
-
-
 def _log_rows_via_circuit(model, x: np.ndarray) -> np.ndarray:
     if isinstance(model, Mixture):
         ids = list(int(v) for v in model.variable_ids)
@@ -216,7 +207,7 @@ def cmd_eval(args) -> int:
     if args.via_circuit:
         rows = _log_rows_via_circuit(model, d.samples)
     else:
-        rows = _log_rows(model, d.samples)
+        rows = log_density_rows(model, d.samples)
     total = float(d.weights @ rows)
     _emit(n=d.n_rows, total_ll=total, mean_ll=total / d.total_weight)
     if args.via_circuit:

@@ -159,12 +159,14 @@ def select_best_candidates(d: WeightedDataset, lam: int) -> list:
     return d.variable_ids[ranked[:lam]].tolist()
 
 
-def _select_best_cut(
+def select_best_cut(
     leaf_tree: ChowLiuTree,
     d_leaf: WeightedDataset,
     candidates: list,
     score: ScoreConfig,
-):
+) -> CutCandidate | None:
+    """Best candidate cut of the leaf `leaf_tree` over `d_leaf`, or None
+    when no candidate improves the score."""
     before = _leaf_score(leaf_tree, d_leaf, score)
     best = None
     for var in sorted(candidates):
@@ -174,21 +176,6 @@ def _select_best_cut(
     if best is None or best.delta <= 0:
         return None
     return best
-
-
-def select_best_cut(
-    d_leaf: WeightedDataset, candidates: list, cfg: LearnerConfig
-) -> CutCandidate | None:
-    """Best candidate cut of a leaf learned on `d_leaf`, or None when no
-    candidate improves the score."""
-    leaf_tree = learn_clt(d_leaf, cfg.score.fit_beta)
-    return _select_best_cut(leaf_tree, d_leaf, candidates, cfg.score)
-
-
-def _decision_weights(n0: float, n1: float, score: ScoreConfig) -> np.ndarray:
-    h = score.alpha / 2.0 if score.kind != BIC else score.beta
-    denom = n0 + n1 + 2 * h
-    return np.array([(n0 + h) / denom, (n1 + h) / denom])
 
 
 def learn_cnet(
@@ -211,7 +198,7 @@ def learn_cnet(
             tree = learn_clt(dsub, score.fit_beta)
         if dsub.n_vars >= 2 and dsub.total_weight > 0:
             cands = select_best_candidates(dsub, cfg.lam)
-            cut = _select_best_cut(tree, dsub, cands, score)
+            cut = select_best_cut(tree, dsub, cands, score)
             if cut is not None:
                 if trace is not None:
                     trace.append(
@@ -227,7 +214,9 @@ def learn_cnet(
                     build(cut.child_data[k], cut.child_trees[k], depth + 1)
                     for k in (0, 1)
                 )
-                weights = _decision_weights(cut.counts.n0, cut.counts.n1, score)
+                n0, n1, h = cut.counts.n0, cut.counts.n1, score.fit_beta
+                denom = n0 + n1 + 2 * h
+                weights = np.array([(n0 + h) / denom, (n1 + h) / denom])
                 return DecisionNode(cut.var, weights, children)
         return Leaf(tree)
 

@@ -23,6 +23,8 @@ __all__ = [
     "learn_sem",
     "mixture_log_density",
     "mixture_log_density_rows",
+    "log_density_rows",
+    "mean_log_likelihood",
 ]
 
 
@@ -213,8 +215,17 @@ def m_step(d: WeightedDataset, gamma: np.ndarray, cfg: LearnerConfig) -> Mixture
     return Mixture(components, mass / mass.sum())
 
 
-def _train_ll_per_sample(m: Mixture, d: WeightedDataset) -> float:
-    rows = mixture_log_density_rows(m, d.samples)
+def log_density_rows(model, x: np.ndarray) -> np.ndarray:
+    """Per-row log density under a mixture or a single cutset network."""
+    if isinstance(model, Mixture):
+        return mixture_log_density_rows(model, x)
+    return cnet_log_density_rows(model, x)
+
+
+def mean_log_likelihood(model, d: WeightedDataset) -> float:
+    """Weighted log-likelihood of `d` per unit weight; zero-weight rows
+    are skipped, so a row of zero density only counts when it has weight."""
+    rows = log_density_rows(model, d.samples)
     live = d.weights > 0
     return float(d.weights[live] @ rows[live]) / d.total_weight
 
@@ -240,12 +251,12 @@ def learn_sem(
     mass = np.array([c.total_weight for c in clusters])
     model = Mixture(components, mass / mass.sum())
 
-    best_model, best_ll = model, _train_ll_per_sample(model, d)
+    best_model, best_ll = model, mean_log_likelihood(model, d)
     prev_ll = best_ll
     for _ in range(max_iters):
         gamma = e_step(model, d)
         model = m_step(d, gamma, cfg)
-        ll = _train_ll_per_sample(model, d)
+        ll = mean_log_likelihood(model, d)
         if ll > best_ll:
             best_model, best_ll = model, ll
         if ll - prev_ll < tol:

@@ -111,23 +111,6 @@ def _check_net_scope(net, d: WeightedDataset) -> None:
         raise DatasetError("dataset variables do not match the network scope")
 
 
-def bd_cnet(net, d: WeightedDataset, alpha: float) -> float:
-    """Exact log marginal likelihood of a whole cutset-network structure:
-    the sum of per-decision-node and per-leaf local scores over the data
-    routed to each node."""
-    _check_net_scope(net, d)
-
-    def rec(node, dsub: WeightedDataset) -> float:
-        if node.kind == "leaf":
-            return clt_bd_score(node.tree, dsub, alpha)
-        d0 = restrict(dsub, node.var, 0)
-        d1 = restrict(dsub, node.var, 1)
-        local = bd_sum_node(SumNodeCounts(d0.total_weight, d1.total_weight), alpha)
-        return local + rec(node.children[0], d0) + rec(node.children[1], d1)
-
-    return rec(net.root, d)
-
-
 def structure_param_count(net) -> int:
     """Independent parameters of a cutset network: one per decision node
     plus 2d - 1 per leaf over d variables."""
@@ -147,14 +130,56 @@ def _refit_tree(tree: ChowLiuTree, dsub: WeightedDataset, beta: float) -> ChowLi
     return ChowLiuTree(tree.variable_ids, tree.parents, tree.order, cpts)
 
 
-def _weighted_branch_ll(n0: float, n1: float, beta: float) -> float:
-    """n0 log w0 + n1 log w1 at the smoothed ML weights."""
-    total = n0 + n1
+def _branch_term(counts: SumNodeCounts, cfg: ScoreConfig) -> float:
+    """A decision node's own term of the configured score: the BD score
+    of its branch counts, or their log-likelihood n0 log w0 + n1 log w1
+    at the smoothed ML weights."""
+    if cfg.kind == BD:
+        return bd_sum_node(counts, cfg.alpha)
     ll = 0.0
-    for nk in (n0, n1):
+    for nk in (counts.n0, counts.n1):
         if nk > 0:
-            ll += nk * math.log((nk + beta) / (total + 2 * beta))
+            ll += nk * math.log((nk + cfg.beta) / (counts.total + 2 * cfg.beta))
     return ll
+
+
+def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
+    """A leaf's own term of the configured score: its BD score, or its
+    log-likelihood after a refit with the BIC smoothing."""
+    if cfg.kind == BD:
+        return clt_bd_score(leaf, d_leaf, cfg.alpha)
+    return clt_log_likelihood(_refit_tree(leaf, d_leaf, cfg.beta), d_leaf)
+
+
+def _penalty(n_params: int, cfg: ScoreConfig) -> float:
+    """Price of `n_params` independent parameters: log|D|/2 each under
+    BIC, nothing under BD (its priors already pay for them)."""
+    if cfg.kind == BD:
+        return 0.0
+    return 0.5 * math.log(cfg.root_dataset_size) * n_params
+
+
+def _cnet_score(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
+    """Configured score of a whole structure: the sum of every node's own
+    term over the data routed to it, minus the penalty."""
+    _check_net_scope(net, d)
+
+    def rec(node, dsub: WeightedDataset) -> float:
+        if node.kind == "leaf":
+            return _leaf_score(node.tree, dsub, cfg)
+        d0 = restrict(dsub, node.var, 0)
+        d1 = restrict(dsub, node.var, 1)
+        local = _branch_term(SumNodeCounts(d0.total_weight, d1.total_weight), cfg)
+        return local + rec(node.children[0], d0) + rec(node.children[1], d1)
+
+    return rec(net.root, d) - _penalty(structure_param_count(net), cfg)
+
+
+def bd_cnet(net, d: WeightedDataset, alpha: float) -> float:
+    """Exact log marginal likelihood of a whole cutset-network structure:
+    the sum of per-decision-node and per-leaf local scores over the data
+    routed to each node."""
+    return _cnet_score(net, d, ScoreConfig(kind=BD, alpha=alpha))
 
 
 def bic_cnet(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
@@ -163,20 +188,7 @@ def bic_cnet(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
     (decision weights and CPT rows alike) pays log|D|/2."""
     if cfg.kind != BIC:
         raise ValueError("bic_cnet requires a BIC score config")
-    _check_net_scope(net, d)
-
-    def rec(node, dsub: WeightedDataset) -> float:
-        if node.kind == "leaf":
-            refit = _refit_tree(node.tree, dsub, cfg.beta)
-            return clt_log_likelihood(refit, dsub)
-        d0 = restrict(dsub, node.var, 0)
-        d1 = restrict(dsub, node.var, 1)
-        ll = _weighted_branch_ll(d0.total_weight, d1.total_weight, cfg.beta)
-        return ll + rec(node.children[0], d0) + rec(node.children[1], d1)
-
-    ll = rec(net.root, d)
-    penalty = 0.5 * math.log(cfg.root_dataset_size) * structure_param_count(net)
-    return ll - penalty
+    return _cnet_score(net, d, cfg)
 
 
 @dataclass
@@ -190,14 +202,6 @@ class CutCandidate:
     counts: SumNodeCounts
     child_trees: tuple
     child_data: tuple
-
-
-def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
-    """The leaf's own term of the configured score: its BD score, or its
-    log-likelihood after a refit with the BIC smoothing."""
-    if cfg.kind == BD:
-        return clt_bd_score(leaf, d_leaf, cfg.alpha)
-    return clt_log_likelihood(_refit_tree(leaf, d_leaf, cfg.beta), d_leaf)
 
 
 def evaluate_cut(
@@ -219,24 +223,13 @@ def evaluate_cut(
     counts = SumNodeCounts(d0.total_weight, d1.total_weight)
     t0 = learn_clt(d0, cfg.fit_beta)
     t1 = learn_clt(d1, cfg.fit_beta)
-
-    if cfg.kind == BD:
-        delta = (
-            bd_sum_node(counts, cfg.alpha)
-            + clt_bd_score(t0, d0, cfg.alpha)
-            + clt_bd_score(t1, d1, cfg.alpha)
-            - leaf_score
-        )
-    else:
-        ll_after = (
-            _weighted_branch_ll(counts.n0, counts.n1, cfg.beta)
-            + clt_log_likelihood(t0, d0)
-            + clt_log_likelihood(t1, d1)
-        )
-        extra_params = 2 * leaf.n_vars - 4
-        penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
-        delta = ll_after - leaf_score - penalty
-
+    delta = (
+        _branch_term(counts, cfg)
+        + _leaf_score(t0, d0, cfg)
+        + _leaf_score(t1, d1, cfg)
+        - leaf_score
+        - _penalty(2 * leaf.n_vars - 4, cfg)
+    )
     return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
 
 

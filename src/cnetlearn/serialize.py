@@ -38,12 +38,17 @@ def _tree_to_dict(t: ChowLiuTree) -> dict:
     }
 
 
-def _tree_from_dict(obj: dict) -> ChowLiuTree:
+def _tree_from_dict(obj: dict, rows: list) -> ChowLiuTree:
+    parents = np.array(obj["parents"], dtype=np.int64)
+    cpt = [np.array(table, dtype=np.float64) for table in obj["cpt"]]
+    if [t.shape for t in cpt] != [(1 if p < 0 else 2, 2) for p in parents.tolist()]:
+        raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
+    rows.extend(cpt)
     return ChowLiuTree(
         np.array(obj["variable_ids"], dtype=np.int64),
-        np.array(obj["parents"], dtype=np.int64),
+        parents,
         np.array(obj["order"], dtype=np.int64),
-        [np.array(table, dtype=np.float64) for table in obj["cpt"]],
+        cpt,
     )
 
 
@@ -58,15 +63,19 @@ def _node_to_dict(node) -> dict:
     }
 
 
-def _node_from_dict(obj: dict):
+def _node_from_dict(obj: dict, rows: list):
+    """Parse one node; its CPT tables and decision weights are appended
+    to `rows` as (k, 2) arrays, for one probability check per network."""
     kind = obj.get("kind")
     if kind == "leaf":
-        return Leaf(_tree_from_dict(obj["tree"]))
+        return Leaf(_tree_from_dict(obj["tree"], rows))
     if kind == "decision":
-        children = tuple(_node_from_dict(c) for c in obj["children"])
-        return DecisionNode(
-            int(obj["var"]), np.array(obj["weights"], dtype=np.float64), children
-        )
+        weights = np.array(obj["weights"], dtype=np.float64)
+        if len(obj["children"]) != 2 or weights.shape != (2,):
+            raise DatasetError("a decision node needs two children and two weights")
+        rows.append(weights[None, :])
+        children = tuple(_node_from_dict(c, rows) for c in obj["children"])
+        return DecisionNode(int(obj["var"]), weights, children)
     raise DatasetError(f"unknown node kind {kind!r} in model file")
 
 
@@ -78,10 +87,15 @@ def _net_to_dict(net: CutsetNetwork) -> dict:
 
 
 def _net_from_dict(obj: dict) -> CutsetNetwork:
-    return CutsetNetwork(
-        _node_from_dict(obj["root"]),
-        np.array(obj["variable_ids"], dtype=np.int64),
-    )
+    rows = [np.empty((0, 2))]
+    root = _node_from_dict(obj["root"], rows)
+    rows = np.concatenate(rows)
+    in_range = np.all((rows >= 0.0) & (rows <= 1.0))
+    if not (in_range and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
+        raise DatasetError(
+            "CPT rows and decision weights must lie in [0, 1] and sum to 1"
+        )
+    return CutsetNetwork(root, np.array(obj["variable_ids"], dtype=np.int64))
 
 
 def _score_to_dict(cfg: ScoreConfig) -> dict:
@@ -157,5 +171,7 @@ def load_model(path):
         raise DatasetError(f"{path}: not a valid model file")
     try:
         return model_from_dict(obj)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise DatasetError(f"{path}: not a valid model file: {exc!r}") from exc

@@ -19,8 +19,16 @@ from cnetlearn import (
     CutsetNetwork,
     DecisionNode,
     Leaf,
+    SumNodeCounts,
     WeightedDataset,
+    bd_sum_node,
+    clt_bd_score,
+    clt_log_likelihood,
+    learn_clt,
+    restrict,
+    structure_param_count,
 )
+from cnetlearn.clt import _fit_cpts
 
 
 def unit_dataset(rows, ids=None) -> WeightedDataset:
@@ -386,3 +394,80 @@ def ref_max_spanning_tree(mi: np.ndarray) -> list:
             parent[ri] = rj
             chosen.append((i, j))
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# per-kind references for the score: BD and BIC each summed on their own
+# path, as the library computed them before one routed recursion and one
+# cut expression served both kinds
+
+def _ref_weighted_branch_ll(n0: float, n1: float, beta: float) -> float:
+    total = n0 + n1
+    ll = 0.0
+    for nk in (n0, n1):
+        if nk > 0:
+            ll += nk * math.log((nk + beta) / (total + 2 * beta))
+    return ll
+
+
+def _ref_refit_ll(tree: ChowLiuTree, d: WeightedDataset, beta: float) -> float:
+    cpts = _fit_cpts(d, tree.parents, beta)
+    refit = ChowLiuTree(tree.variable_ids, tree.parents, tree.order, cpts)
+    return clt_log_likelihood(refit, d)
+
+
+def ref_bd_cnet(net, d: WeightedDataset, alpha: float) -> float:
+    def rec(node, dsub) -> float:
+        if node.kind == "leaf":
+            return clt_bd_score(node.tree, dsub, alpha)
+        d0 = restrict(dsub, node.var, 0)
+        d1 = restrict(dsub, node.var, 1)
+        local = bd_sum_node(SumNodeCounts(d0.total_weight, d1.total_weight), alpha)
+        return local + rec(node.children[0], d0) + rec(node.children[1], d1)
+
+    return rec(net.root, d)
+
+
+def ref_bic_cnet(net, d: WeightedDataset, cfg) -> float:
+    def rec(node, dsub) -> float:
+        if node.kind == "leaf":
+            return _ref_refit_ll(node.tree, dsub, cfg.beta)
+        d0 = restrict(dsub, node.var, 0)
+        d1 = restrict(dsub, node.var, 1)
+        ll = _ref_weighted_branch_ll(d0.total_weight, d1.total_weight, cfg.beta)
+        return ll + rec(node.children[0], d0) + rec(node.children[1], d1)
+
+    ll = rec(net.root, d)
+    penalty = 0.5 * math.log(cfg.root_dataset_size) * structure_param_count(net)
+    return ll - penalty
+
+
+def ref_cut_delta(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> float:
+    d0 = restrict(d_leaf, var, 0)
+    d1 = restrict(d_leaf, var, 1)
+    t0 = learn_clt(d0, cfg.fit_beta)
+    t1 = learn_clt(d1, cfg.fit_beta)
+    if cfg.kind == "bd":
+        before = clt_bd_score(leaf, d_leaf, cfg.alpha)
+        counts = SumNodeCounts(d0.total_weight, d1.total_weight)
+        return (
+            bd_sum_node(counts, cfg.alpha)
+            + clt_bd_score(t0, d0, cfg.alpha)
+            + clt_bd_score(t1, d1, cfg.alpha)
+            - before
+        )
+    before = _ref_refit_ll(leaf, d_leaf, cfg.beta)
+    ll_after = (
+        _ref_weighted_branch_ll(d0.total_weight, d1.total_weight, cfg.beta)
+        + clt_log_likelihood(t0, d0)
+        + clt_log_likelihood(t1, d1)
+    )
+    extra_params = 2 * leaf.n_vars - 4
+    penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
+    return ll_after - before - penalty
+
+
+def ref_decision_weights(n0: float, n1: float, cfg) -> np.ndarray:
+    h = cfg.alpha / 2.0 if cfg.kind != "bic" else cfg.beta
+    denom = n0 + n1 + 2 * h
+    return np.array([(n0 + h) / denom, (n1 + h) / denom])

@@ -9,7 +9,6 @@ import pytest
 from cnetlearn import (
     BD,
     BIC,
-    BernoulliLeaf,
     IndicatorLeaf,
     LearnerConfig,
     ProductNode,
@@ -125,7 +124,7 @@ def test_compiler_shares_tree_messages():
 
 def test_sum_over_same_variable_not_deterministic():
     root = SumNode(
-        [BernoulliLeaf(0, 0.3), BernoulliLeaf(0, 0.8)],
+        [IndicatorLeaf(0, 1), IndicatorLeaf(0, 1)],
         np.array([0.5, 0.5]),
     )
     circuit = make_circuit(root)
@@ -133,8 +132,29 @@ def test_sum_over_same_variable_not_deterministic():
     assert not check_deterministic(circuit)
 
 
+def test_deterministic_check_sees_underflowing_inputs():
+    # on x = (1, 1) the left product is 1e-400, which a linear-domain
+    # pass rounds to 0; in the log domain it is finite, so both inputs
+    # of the root are positive there
+    def t(v):
+        return SumNode(
+            [IndicatorLeaf(v, 1), IndicatorLeaf(v, 0)], np.array([1e-200, 1.0])
+        )
+
+    root = SumNode(
+        [
+            ProductNode([t(0), t(1)]),
+            ProductNode([IndicatorLeaf(0, 1), IndicatorLeaf(1, 1)]),
+        ],
+        np.array([0.5, 0.5]),
+    )
+    circuit = make_circuit(root)
+    assert check_smooth(circuit) and check_decomposable(circuit)
+    assert not check_deterministic(circuit)
+
+
 def test_product_with_overlapping_scopes_not_decomposable():
-    root = ProductNode([BernoulliLeaf(0, 0.3), BernoulliLeaf(0, 0.8)])
+    root = ProductNode([IndicatorLeaf(0, 0), IndicatorLeaf(0, 1)])
     circuit = make_circuit(root)
     assert not check_decomposable(circuit)
 
@@ -187,8 +207,6 @@ def test_make_circuit_rejects_arity_mismatch():
 def test_make_circuit_rejects_bad_leaves():
     with pytest.raises(ValueError):
         make_circuit(IndicatorLeaf(0, 2))
-    with pytest.raises(ValueError):
-        make_circuit(BernoulliLeaf(0, 1.5))
 
 
 def test_make_circuit_topological_order():
@@ -245,16 +263,6 @@ def test_circuit_params_small_example():
     net.validate()
     assert structure_param_count(net) == 15
     assert circuit_size(compile_cnet(net)).n_params == 15
-
-
-def test_circuit_size_counts_bernoulli_params():
-    root = SumNode(
-        [BernoulliLeaf(0, 0.3), BernoulliLeaf(0, 0.8)], np.array([0.5, 0.5])
-    )
-    size = circuit_size(make_circuit(root))
-    assert size.n_params == 1 + 2
-    assert size.n_nodes == 3
-    assert size.n_edges == 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +331,3 @@ def test_dump_is_stable_and_well_formed():
                 refs = [int(t) for t in field[3:].split(",")]
                 assert all(r < i for r in refs)
 
-
-def test_dump_bernoulli_line():
-    text = dump_circuit(make_circuit(BernoulliLeaf(3, 0.25)))
-    assert text == "0 BERN 3 p=0.25\n"
-
-
-def test_bernoulli_circuit_linear_log_agreement():
-    root = SumNode(
-        [BernoulliLeaf(0, 0.3), BernoulliLeaf(0, 0.8)], np.array([0.4, 0.6])
-    )
-    circuit = make_circuit(root)
-    x = np.array([[0], [1]])
-    lin = circuit_values(circuit, x)
-    logv = circuit_log_values(circuit, x)
-    assert np.allclose(np.log(lin), logv, atol=1e-12)
-    assert lin[1] == pytest.approx(0.4 * 0.3 + 0.6 * 0.8, abs=1e-15)

@@ -324,17 +324,42 @@ def test_malformed_csv_is_usage_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _first_leaf(node: dict) -> dict:
+    while node["kind"] == "decision":
+        node = node["children"][0]
+    return node
+
+
+def _first_cpt(model: dict) -> list:
+    return _first_leaf(model["net"]["root"])["tree"]["cpt"][0]
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, problem",
     [
-        lambda m: m["net"].pop("root"),
-        lambda m: m.pop("score"),
-        lambda m: m["net"].__setitem__("root", 7),
-        lambda m: m["net"]["root"].__setitem__("var", None),
+        (lambda m: m["net"].pop("root"), "not a valid model file"),
+        (lambda m: m.pop("score"), "not a valid model file"),
+        (lambda m: m["net"].__setitem__("root", 7), "not a valid model file"),
+        (lambda m: m["net"]["root"].__setitem__("var", None), "not a valid model file"),
+        (lambda m: m["net"]["root"].__setitem__("children", []), "two children"),
+        (lambda m: m["net"]["root"].__setitem__("weights", [0.9, 0.9]), "sum to 1"),
+        (lambda m: _first_cpt(m).__setitem__(0, [0.9, 0.9]), "sum to 1"),
+        (lambda m: _first_cpt(m)[0].append(0.0), "1x2"),
     ],
-    ids=["no-root", "no-score", "root-not-object", "var-not-int"],
+    ids=[
+        "no-root",
+        "no-score",
+        "root-not-object",
+        "var-not-int",
+        "no-children",
+        "weights-not-distribution",
+        "cpt-row-not-distribution",
+        "cpt-wrong-shape",
+    ],
 )
-def test_malformed_model_file_is_usage_error(tmp_path, train_csv, capsys, damage):
+def test_malformed_model_file_is_usage_error(
+    tmp_path, train_csv, capsys, damage, problem
+):
     model = tmp_path / "model.json"
     assert main(["learn", str(train_csv), "--out", str(model)]) == 0
     obj = json.loads(model.read_text())
@@ -344,7 +369,8 @@ def test_malformed_model_file_is_usage_error(tmp_path, train_csv, capsys, damage
     capsys.readouterr()
     assert main(["eval", str(model), str(train_csv)]) == 2
     err = capsys.readouterr().err
-    assert str(model) in err and "internal error" not in err
+    assert str(model) in err and problem in err
+    assert "internal error" not in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -119,13 +119,14 @@ def test_select_best_cut_rejects_noise():
     rng = np.random.default_rng(61)
     d = random_dataset(rng, 256, 5)
     cfg = LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1))
-    assert select_best_cut(d, list(range(5)), cfg) is None
+    leaf = learn_clt(d, cfg.score.fit_beta)
+    assert select_best_cut(leaf, d, list(range(5)), cfg.score) is None
 
 
 def test_select_best_cut_takes_positive_delta():
     d = switch_dataset_16()
     cfg = LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1))
-    cut = select_best_cut(d, [0, 1, 2], cfg)
+    cut = select_best_cut(learn_clt(d, cfg.score.fit_beta), d, [0, 1, 2], cfg.score)
     assert cut is not None and cut.delta > 0
     assert cut.counts.n0 + cut.counts.n1 == d.total_weight
 
@@ -133,7 +134,8 @@ def test_select_best_cut_takes_positive_delta():
 def test_select_best_cut_two_regime_picks_switch_variable():
     d = _two_tree_regime(np.random.default_rng(0), 512)
     cfg = LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1))
-    cut = select_best_cut(d, list(range(5)), cfg)
+    leaf = learn_clt(d, cfg.score.fit_beta)
+    cut = select_best_cut(leaf, d, list(range(5)), cfg.score)
     assert cut is not None and cut.var == 0
 
 

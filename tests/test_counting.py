@@ -1,5 +1,6 @@
 """Differential tests: the count-once fast paths against the slow
-per-family, per-variable and per-edge references in helpers.py.
+per-family, per-variable and per-edge references in helpers.py, and the
+kind-agnostic score code against the per-kind BD and BIC references.
 
 CPTs and BD scores must agree exactly, because the learner's accept rule
 compares a score delta with 0 and can hinge on the last bit.  The
@@ -12,18 +13,27 @@ from hypothesis import strategies as st
 
 from cnetlearn import (
     ChowLiuTree,
+    LearnerConfig,
     WeightedDataset,
+    bd_cnet,
+    bic_cnet,
     clt_bd_score,
     clt_log_likelihood,
     learn_clt,
+    learn_cnet,
 )
 from cnetlearn.clt import _fit_cpts, _max_spanning_tree
 from cnetlearn.cnet import _information_gains, information_gain
 from cnetlearn.scores import BD, BIC, ScoreConfig, evaluate_cut
 
 from helpers import (
+    random_net,
     random_tree,
+    ref_bd_cnet,
+    ref_bic_cnet,
     ref_clt_bd_score,
+    ref_cut_delta,
+    ref_decision_weights,
     ref_fit_cpts,
     ref_information_gain,
     ref_max_spanning_tree,
@@ -128,3 +138,65 @@ def test_cut_delta_same_with_reference_leaf_score(d, kind):
     for var in d.variable_ids.tolist():
         plain = evaluate_cut(leaf, d, var, cfg)
         assert evaluate_cut(leaf, d, var, cfg, leaf_score=before).delta == plain.delta
+
+
+CONSTANTS = st.sampled_from([0.02, 0.5, 2.0])  # BD alpha or BIC beta
+
+
+def _score_configs(d: WeightedDataset, kind: str, const: float) -> list:
+    """BD with alpha = const, or BIC with beta = const under both an
+    unpinned and a pinned penalty base."""
+    if kind == BD:
+        return [ScoreConfig(kind=BD, alpha=const)]
+    return [
+        ScoreConfig(kind=BIC, beta=const, root_dataset_size=size)
+        for size in (1.0, max(d.total_weight, 1.0) * 3.0)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets(min_rows=2), st.sampled_from([BD, BIC]), CONSTANTS)
+def test_cut_delta_equals_per_kind_reference(d, kind, const):
+    if d.n_vars < 2:
+        return
+    for cfg in _score_configs(d, kind, const):
+        leaf = learn_clt(d, cfg.fit_beta)
+        for var in d.variable_ids.tolist():
+            want = ref_cut_delta(leaf, d, var, cfg)
+            assert evaluate_cut(leaf, d, var, cfg).delta == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets(), st.sampled_from([BD, BIC]), CONSTANTS, st.integers(0, 99))
+def test_net_scores_equal_per_kind_reference(d, kind, const, seed):
+    nets = [random_net(np.random.default_rng(seed), d.variable_ids, 4)]
+    if d.total_weight > 0:
+        nets.append(learn_cnet(d, LearnerConfig(score=ScoreConfig(kind=kind), lam=3)))
+    for cfg in _score_configs(d, kind, const):
+        for net in nets:
+            if kind == BD:
+                assert bd_cnet(net, d, cfg.alpha) == ref_bd_cnet(net, d, cfg.alpha)
+            else:
+                assert bic_cnet(net, d, cfg) == ref_bic_cnet(net, d, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(min_rows=2), st.sampled_from([BD, BIC]), CONSTANTS)
+def test_decision_weights_equal_per_kind_reference(d, kind, const):
+    if d.total_weight <= 0:
+        return
+    score = _score_configs(d, kind, const)[0]
+    trace = []
+    net = learn_cnet(d, LearnerConfig(score=score, lam=4), trace=trace)
+    # the learner appends one trace record per cut in pre-order
+    decisions = []
+    stack = [net.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == "decision":
+            decisions.append(node)
+            stack.extend(reversed(node.children))
+    assert len(decisions) == len(trace)
+    for node, rec in zip(decisions, trace):
+        want = ref_decision_weights(rec["n0"], rec["n1"], score)
+        assert np.array_equal(node.weights, want)
