@@ -44,7 +44,7 @@ from .circuit import (
     induced_path,
     make_circuit,
 )
-from .data import DatasetError, WeightedDataset, load_csv, pair_counts, restrict, save_csv
+from .data import DatasetError, WeightedDataset, load_csv, restrict, save_csv
 from .mixture import (
     Mixture,
     e_step,
@@ -63,7 +63,6 @@ from .scores import (
     bd_cnet,
     bd_sum_node,
     bic_cnet,
-    cut_score_delta,
     evaluate_cut,
     structure_param_count,
 )

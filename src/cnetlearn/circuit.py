@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cnet import walk
 from .data import DatasetError
 from .numerics import log_sum_exp_rows
 
@@ -153,17 +154,10 @@ def compile_cnet(net) -> Circuit:
                 )
         return msg[(int(tree.root), 0)]
 
-    done = {}  # id(net node) -> compiled circuit node
-    stack = [(net.root, False)]
-    while stack:
-        node, expanded = stack.pop()
+    done = {}  # id(net node) -> compiled circuit node, children first
+    for node, _ in reversed(list(walk(net.root))):
         if node.kind == "leaf":
             done[id(node)] = tree_circuit(node.tree)
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.append((node.children[1], False))
-            stack.append((node.children[0], False))
             continue
         branches = []
         for k in (0, 1):

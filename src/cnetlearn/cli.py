@@ -24,6 +24,7 @@ from .cnet import (
     cnet_mpe,
     cnet_sample,
     learn_cnet,
+    walk,
 )
 from .data import DatasetError, WeightedDataset, load_csv, save_csv
 from .mixture import (
@@ -70,19 +71,6 @@ def _add_learn_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _count_nodes(net: CutsetNetwork) -> tuple:
-    decisions = leaves = 0
-    stack = [net.root]
-    while stack:
-        node = stack.pop()
-        if node.kind == "leaf":
-            leaves += 1
-        else:
-            decisions += 1
-            stack.extend(node.children)
-    return decisions, leaves
-
-
 def _net_score(net: CutsetNetwork, d: WeightedDataset, score: ScoreConfig) -> float:
     if score.kind == BD:
         return bd_cnet(net, d, score.alpha)
@@ -96,7 +84,6 @@ def cmd_learn(args) -> int:
     t0 = time.perf_counter()
     net = learn_cnet(d, cfg)
     elapsed = time.perf_counter() - t0
-    decisions, leaves = _count_nodes(net)
     provenance = {
         "command": "learn",
         "train": str(args.train),
@@ -108,6 +95,8 @@ def cmd_learn(args) -> int:
     }
     save_model(args.out, net, cfg.score, provenance)
     _emit(rows=d.n_rows, vars=d.n_vars)
+    kinds = [node.kind for node, _ in walk(net.root)]
+    decisions, leaves = kinds.count("decision"), kinds.count("leaf")
     _emit(decisions=decisions, leaves=leaves, params=structure_param_count(net))
     _emit(score=_net_score(net, d, cfg.score))
     _emit(train_ll_per_sample=mean_log_likelihood(net, d))
@@ -377,7 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("mpe", help="most probable completions of evidence rows")
+    p = sub.add_parser(
+        "mpe",
+        help="most probable completions of evidence rows",
+        description="Exact for one network; for a mixture, a heuristic: the "
+        "best of the per-component MPEs, not the exact mixture MPE.",
+    )
     p.add_argument("model")
     p.add_argument("evidence", help="CSV with cells 0, 1, or ?")
     p.add_argument("--out", required=True)

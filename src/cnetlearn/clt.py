@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WeightedDataset, DatasetError, pair_counts
+from .data import WeightedDataset, DatasetError
 
 __all__ = [
     "ChowLiuTree",
@@ -52,15 +52,6 @@ class ChowLiuTree:
     def root(self) -> int:
         return int(self.order[0])
 
-    @property
-    def parent_map(self) -> dict:
-        """Global-id view of the parent pointers (None at the root)."""
-        ids = self.variable_ids
-        return {
-            int(ids[v]): (None if p < 0 else int(ids[p]))
-            for v, p in enumerate(self.parents)
-        }
-
     def children(self) -> list:
         kids = [[] for _ in range(self.n_vars)]
         for v, p in enumerate(self.parents):
@@ -68,46 +59,51 @@ class ChowLiuTree:
                 kids[p].append(v)
         return kids
 
-    def validate(self) -> None:
-        """Raise AssertionError if any structural invariant is broken."""
+    def _check_structure(self) -> None:
+        """Raise DatasetError unless the order lists every variable once,
+        one root first and parents before children, and the CPT tables are
+        1x2 at the root and 2x2 elsewhere."""
         d = self.n_vars
-        assert self.parents.shape == (d,) and self.order.shape == (d,)
-        assert np.sum(self.parents < 0) == 1, "exactly one root"
-        assert sorted(self.order.tolist()) == list(range(d))
-        seen = set()
-        for v in self.order:
-            p = self.parents[v]
-            assert p < 0 or p in seen, "order must place parents first"
-            seen.add(int(v))
-        for v in range(d):
-            rows = self.cpt[v]
-            expected = 1 if self.parents[v] < 0 else 2
-            assert rows.shape == (expected, 2)
-            assert np.all(rows >= 0) and np.all(rows <= 1)
-            assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        if self.parents.shape != (d,) or self.order.shape != (d,):
+            raise DatasetError("a tree needs a parent and an order entry per variable")
+        parents, order = self.parents.tolist(), self.order.tolist()
+        if sorted(order) != list(range(d)) or parents.count(-1) != 1:
+            raise DatasetError("a tree order must list every variable once, one root")
+        placed = {-1}  # so the first variable must be the root
+        for v in order:
+            if parents[v] not in placed:
+                raise DatasetError("a tree order must place parents before children")
+            placed.add(v)
+        shapes = [t.shape for t in self.cpt]
+        if shapes != [(1, 2) if p < 0 else (2, 2) for p in parents]:
+            raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
+
+    def validate(self) -> None:
+        """Raise DatasetError if any structural invariant is broken or a
+        CPT row is not a distribution."""
+        self._check_structure()
+        _check_distributions(np.concatenate(self.cpt))
 
 
-def _mi_from_table(table: np.ndarray, total: float) -> float:
-    p = table / total
-    pi = p.sum(axis=1)
-    pj = p.sum(axis=0)
-    mi = 0.0
-    for a in range(2):
-        for b in range(2):
-            if p[a, b] > 0:
-                mi += p[a, b] * (math.log(p[a, b]) - math.log(pi[a]) - math.log(pj[b]))
-    return max(mi, 0.0)
+def _check_distributions(rows: np.ndarray) -> None:
+    """Raise DatasetError unless every row of the (k, 2) array lies in
+    [0, 1] and sums to 1 within 1e-12."""
+    in_range = np.all((rows >= 0.0) & (rows <= 1.0))
+    if not (in_range and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
+        raise DatasetError(
+            "CPT rows and decision weights must lie in [0, 1] and sum to 1"
+        )
 
 
 def mutual_information(d: WeightedDataset, i: int, j: int) -> float:
     """Empirical mutual information (nats) between variables i and j,
-    from raw weighted counts, clamped at 0."""
+    from raw weighted counts, clamped at 0: the entry of the matrix the
+    tree learner uses."""
     if i == j:
         raise DatasetError("mutual information needs two distinct variables")
-    total = d.total_weight
-    if total <= 0:
+    if d.total_weight <= 0:
         raise DatasetError("mutual information of a zero-weight dataset")
-    return _mi_from_table(pair_counts(d, i, j), total)
+    return float(_mi_matrix(*d.gram_counts())[d.column(i), d.column(j)])
 
 
 def _mi_matrix(total: float, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:

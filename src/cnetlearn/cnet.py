@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clt import ChowLiuTree, clt_log_density_rows, clt_mpe, clt_sample, learn_clt
+from .clt import (
+    ChowLiuTree,
+    _check_distributions,
+    clt_log_density_rows,
+    clt_mpe,
+    clt_sample,
+    learn_clt,
+)
 from .data import DatasetError, WeightedDataset
 from .scores import BIC, CutCandidate, ScoreConfig, _leaf_score, evaluate_cut
 
@@ -38,6 +45,7 @@ __all__ = [
     "cnet_log_density_rows",
     "cnet_sample",
     "cnet_mpe",
+    "walk",
 ]
 
 
@@ -56,8 +64,25 @@ class DecisionNode:
 
     var: int
     weights: np.ndarray
-    children: tuple
+    children: list
     kind = "decision"
+
+
+def walk(root, item=None, route=None):
+    """Yield (node, item) for every node under `root` in preorder, child 0's
+    subtree before child 1's.  The stack is explicit, so depth is
+    unbounded.  `route(node, item, k)` gives child k's item, and None
+    skips that subtree; without `route` every node gets `item`.
+    Bottom-up callers iterate `reversed(list(walk(...)))`."""
+    stack = [(root, item)]
+    while stack:
+        node, item = stack.pop()
+        yield node, item
+        if node.kind == "decision":
+            for k in reversed(range(len(node.children))):
+                sub = item if route is None else route(node, item, k)
+                if route is None or sub is not None:
+                    stack.append((node.children[k], sub))
 
 
 @dataclass(eq=False)
@@ -76,22 +101,27 @@ class CutsetNetwork:
         return pos
 
     def validate(self) -> None:
-        """Check scope bookkeeping at every node; raises on violation."""
-
-        def rec(node, scope: np.ndarray) -> None:
+        """Raise DatasetError unless the ids ascend, every decision node has
+        two children and two weights and cuts a variable of its scope, every
+        leaf tree is well formed over exactly the scope its path leaves, and
+        every CPT row and decision weight pair is a distribution."""
+        ids = self.variable_ids
+        if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
+            raise DatasetError("network variable ids must be distinct and ascending")
+        rows = []
+        for node, scope in walk(self.root, ids, lambda n, s, k: s[s != n.var]):
             if node.kind == "leaf":
-                assert np.array_equal(node.tree.variable_ids, scope)
-                node.tree.validate()
-                return
-            assert node.var in scope
-            assert node.weights.shape == (2,)
-            assert abs(float(node.weights.sum()) - 1.0) <= 1e-12
-            assert np.all(node.weights >= 0)
-            child_scope = scope[scope != node.var]
-            for child in node.children:
-                rec(child, child_scope)
-
-        rec(self.root, self.variable_ids)
+                if node.tree.variable_ids.tolist() != scope.tolist():
+                    raise DatasetError("a leaf must cover the scope its path leaves")
+                node.tree._check_structure()
+                rows.extend(node.tree.cpt)
+                continue
+            if len(node.children) != 2 or np.shape(node.weights) != (2,):
+                raise DatasetError("a decision node needs two children and two weights")
+            if node.var not in scope.tolist():
+                raise DatasetError(f"decision variable {node.var} is not in its scope")
+            rows.append(node.weights[None, :])
+        _check_distributions(np.concatenate(rows))
 
 
 @dataclass
@@ -185,7 +215,7 @@ def learn_cnet(
 
     When `trace` is a list, one record per accepted cut is appended:
     {"var", "delta", "n0", "n1", "depth"}.  The BIC penalty base is
-    pinned to the entry dataset's total weight for the whole recursion.
+    pinned to the entry dataset's total weight for the whole learn.
     """
     if not d.total_weight > 0:
         raise DatasetError("cannot learn from a zero-weight dataset")
@@ -193,34 +223,30 @@ def learn_cnet(
     if score.kind == BIC:
         score = dataclasses.replace(score, root_dataset_size=d.total_weight)
 
-    def build(dsub: WeightedDataset, tree: ChowLiuTree | None, depth: int):
-        if tree is None:
-            tree = learn_clt(dsub, score.fit_beta)
+    root = [None]
+    # pending (data, tree, depth, slot): the node built from it goes to
+    # slot = (list, index); child 0 pops first, as in a recursion
+    pending = [(d, learn_clt(d, score.fit_beta), 0, (root, 0))]
+    while pending:
+        dsub, tree, depth, (kids, k) = pending.pop()
+        cut = None
         if dsub.n_vars >= 2 and dsub.total_weight > 0:
             cands = select_best_candidates(dsub, cfg.lam)
             cut = select_best_cut(tree, dsub, cands, score)
-            if cut is not None:
-                if trace is not None:
-                    trace.append(
-                        {
-                            "var": cut.var,
-                            "delta": cut.delta,
-                            "n0": cut.counts.n0,
-                            "n1": cut.counts.n1,
-                            "depth": depth,
-                        }
-                    )
-                children = tuple(
-                    build(cut.child_data[k], cut.child_trees[k], depth + 1)
-                    for k in (0, 1)
-                )
-                n0, n1, h = cut.counts.n0, cut.counts.n1, score.fit_beta
-                denom = n0 + n1 + 2 * h
-                weights = np.array([(n0 + h) / denom, (n1 + h) / denom])
-                return DecisionNode(cut.var, weights, children)
-        return Leaf(tree)
+        if cut is None:
+            kids[k] = Leaf(tree)
+            continue
+        n0, n1, h = cut.counts.n0, cut.counts.n1, score.fit_beta
+        if trace is not None:
+            trace.append(dict(var=cut.var, delta=cut.delta, n0=n0, n1=n1, depth=depth))
+        denom = n0 + n1 + 2 * h
+        weights = np.array([(n0 + h) / denom, (n1 + h) / denom])
+        kids[k] = DecisionNode(cut.var, weights, [None, None])
+        for b in (1, 0):
+            slot = (kids[k].children, b)
+            pending.append((cut.child_data[b], cut.child_trees[b], depth + 1, slot))
 
-    return CutsetNetwork(build(d, None, 0), d.variable_ids.copy())
+    return CutsetNetwork(root[0], d.variable_ids.copy())
 
 
 def _check_assignment_matrix(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
@@ -237,22 +263,18 @@ def cnet_log_density_rows(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
     x = _check_assignment_matrix(net, x)
     ll = np.zeros(x.shape[0])
 
-    def rec(node, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if node.kind == "leaf":
+    def route(node, idx, k):
+        sub = idx[x[idx, net.column_of(node.var)] == k]
+        if sub.size == 0:
+            return None
+        w = float(node.weights[k])
+        ll[sub] += math.log(w) if w > 0 else -math.inf
+        return sub
+
+    for node, idx in walk(net.root, np.arange(x.shape[0]), route):
+        if node.kind == "leaf" and idx.size:
             cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
             ll[idx] += clt_log_density_rows(node.tree, x[idx], columns=cols)
-            return
-        vals = x[idx, net.column_of(node.var)]
-        for k in (0, 1):
-            sub = idx[vals == k]
-            if sub.size:
-                w = float(node.weights[k])
-                ll[sub] += math.log(w) if w > 0 else -math.inf
-                rec(node.children[k], sub)
-
-    rec(net.root, np.arange(x.shape[0]))
     return ll
 
 
@@ -294,28 +316,34 @@ def cnet_mpe(net: CutsetNetwork, evidence: dict) -> tuple:
         if val not in (0, 1):
             raise DatasetError("evidence values must be 0 or 1")
 
-    def rec(node):
+    def route(node, _, k):
+        if ev_all.get(int(node.var), k) != k:
+            return None  # the other branch of an observed cut
+        w = float(node.weights[k])
+        return math.log(w) if w > 0 else -math.inf
+
+    # bottom-up: done[id(node)] = (assignment, best log score, log weight
+    # of the branch into the node)
+    done = {}
+    for node, logw in reversed(list(walk(net.root, 0.0, route))):
         if node.kind == "leaf":
             ids = node.tree.variable_ids
             ev = {int(g): ev_all[int(g)] for g in ids if int(g) in ev_all}
             vals, s = clt_mpe(node.tree, ev)
-            return dict(zip((int(g) for g in ids), (int(v) for v in vals))), s
-        logw = [
-            math.log(float(w)) if w > 0 else -math.inf for w in node.weights
-        ]
-        if int(node.var) in ev_all:
-            k = ev_all[int(node.var)]
-            assign, s = rec(node.children[k])
+            assign = dict(zip((int(g) for g in ids), (int(v) for v in vals)))
+            done[id(node)] = (assign, s, logw)
+            continue
+        var = int(node.var)
+        branch = [done.get(id(c)) for c in node.children]
+        if var in ev_all:
+            k = ev_all[var]
         else:
-            a0, s0 = rec(node.children[0])
-            a1, s1 = rec(node.children[1])
-            k = 1 if logw[1] + s1 > logw[0] + s0 else 0
-            assign, s = (a0, s0) if k == 0 else (a1, s1)
-        assign[int(node.var)] = k
-        return assign, s + logw[k]
+            (_, s0, w0), (_, s1, w1) = branch
+            k = 1 if w1 + s1 > w0 + s0 else 0
+        assign, s, w = branch[k]
+        assign[var] = k
+        done[id(node)] = (assign, s + w, logw)
 
-    assign, _ = rec(net.root)
-    values = np.array(
-        [assign[int(v)] for v in net.variable_ids], dtype=np.uint8
-    )
+    assign = done[id(net.root)][0]
+    values = np.array([assign[int(v)] for v in net.variable_ids], dtype=np.uint8)
     return values, cnet_log_density(net, values)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["WeightedDataset", "load_csv", "save_csv", "restrict", "pair_counts"]
+__all__ = ["WeightedDataset", "load_csv", "save_csv", "restrict"]
 
 
 class DatasetError(ValueError):
@@ -175,15 +175,3 @@ def restrict(d: WeightedDataset, var: int, value: int) -> WeightedDataset:
         d.samples[mask][:, keep], d.weights[mask], d.variable_ids[keep]
     )
 
-
-def pair_counts(d: WeightedDataset, i: int, j: int) -> np.ndarray:
-    """2x2 weighted contingency table: table[a, b] = weight of rows with
-    x_i = a and x_j = b.  Entries sum to d.total_weight."""
-    if i == j:
-        raise DatasetError("pair_counts requires two distinct variables")
-    ci, cj = d.column(i), d.column(j)
-    xi = d.samples[:, ci].astype(np.int64)
-    xj = d.samples[:, cj].astype(np.int64)
-    table = np.zeros((2, 2))
-    np.add.at(table, (xi, xj), d.weights)
-    return table

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cnet  # cnet imports this module; walk is read at call time
 from .clt import (
     ChowLiuTree,
     _fit_cpts,
@@ -37,7 +38,6 @@ __all__ = [
     "bd_sum_node",
     "bd_cnet",
     "bic_cnet",
-    "cut_score_delta",
     "evaluate_cut",
     "CutCandidate",
     "structure_param_count",
@@ -115,12 +115,10 @@ def structure_param_count(net) -> int:
     """Independent parameters of a cutset network: one per decision node
     plus 2d - 1 per leaf over d variables."""
 
-    def rec(node) -> int:
-        if node.kind == "leaf":
-            return clt_param_count(node.tree)
-        return 1 + rec(node.children[0]) + rec(node.children[1])
-
-    return rec(net.root)
+    return sum(
+        1 if node.kind == "decision" else clt_param_count(node.tree)
+        for node, _ in cnet.walk(net.root)
+    )
 
 
 def _refit_tree(tree: ChowLiuTree, dsub: WeightedDataset, beta: float) -> ChowLiuTree:
@@ -164,15 +162,17 @@ def _cnet_score(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
     term over the data routed to it, minus the penalty."""
     _check_net_scope(net, d)
 
-    def rec(node, dsub: WeightedDataset) -> float:
+    nodes = cnet.walk(net.root, d, lambda node, dsub, k: restrict(dsub, node.var, k))
+    # bottom-up: done[id(node)] = (score of the subtree, its data's weight)
+    done = {}
+    for node, dsub in reversed(list(nodes)):
         if node.kind == "leaf":
-            return _leaf_score(node.tree, dsub, cfg)
-        d0 = restrict(dsub, node.var, 0)
-        d1 = restrict(dsub, node.var, 1)
-        local = _branch_term(SumNodeCounts(d0.total_weight, d1.total_weight), cfg)
-        return local + rec(node.children[0], d0) + rec(node.children[1], d1)
-
-    return rec(net.root, d) - _penalty(structure_param_count(net), cfg)
+            score = _leaf_score(node.tree, dsub, cfg)
+        else:
+            (s0, n0), (s1, n1) = (done[id(c)] for c in node.children)
+            score = _branch_term(SumNodeCounts(n0, n1), cfg) + s0 + s1
+        done[id(node)] = (score, dsub.total_weight)
+    return done[id(net.root)][0] - _penalty(structure_param_count(net), cfg)
 
 
 def bd_cnet(net, d: WeightedDataset, alpha: float) -> float:
@@ -232,10 +232,3 @@ def evaluate_cut(
     )
     return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
 
-
-def cut_score_delta(
-    leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg: ScoreConfig
-) -> float:
-    """Local score change of one candidate cut; positive means the cut
-    improves the configured global score."""
-    return evaluate_cut(leaf, d_leaf, var, cfg).delta

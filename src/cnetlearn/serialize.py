@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .clt import ChowLiuTree
-from .cnet import CutsetNetwork, DecisionNode, Leaf
+from .cnet import CutsetNetwork, DecisionNode, Leaf, walk
 from .data import DatasetError
 from .mixture import Mixture
 from .scores import ScoreConfig
@@ -38,64 +38,53 @@ def _tree_to_dict(t: ChowLiuTree) -> dict:
     }
 
 
-def _tree_from_dict(obj: dict, rows: list) -> ChowLiuTree:
-    parents = np.array(obj["parents"], dtype=np.int64)
-    cpt = [np.array(table, dtype=np.float64) for table in obj["cpt"]]
-    if [t.shape for t in cpt] != [(1 if p < 0 else 2, 2) for p in parents.tolist()]:
-        raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
-    rows.extend(cpt)
+def _tree_from_dict(obj: dict) -> ChowLiuTree:
     return ChowLiuTree(
         np.array(obj["variable_ids"], dtype=np.int64),
-        parents,
+        np.array(obj["parents"], dtype=np.int64),
         np.array(obj["order"], dtype=np.int64),
-        cpt,
+        [np.array(table, dtype=np.float64) for table in obj["cpt"]],
     )
 
 
-def _node_to_dict(node) -> dict:
-    if node.kind == "leaf":
-        return {"kind": "leaf", "tree": _tree_to_dict(node.tree)}
+def _net_to_dict(net: CutsetNetwork) -> dict:
+    done = {}  # id(node) -> its dict, children first
+    for node, _ in reversed(list(walk(net.root))):
+        if node.kind == "leaf":
+            out = {"kind": "leaf", "tree": _tree_to_dict(node.tree)}
+        else:
+            out = {
+                "kind": "decision",
+                "var": int(node.var),
+                "weights": [float(w) for w in node.weights],
+                "children": [done[id(c)] for c in node.children],
+            }
+        done[id(node)] = out
     return {
-        "kind": "decision",
-        "var": int(node.var),
-        "weights": [float(w) for w in node.weights],
-        "children": [_node_to_dict(c) for c in node.children],
+        "variable_ids": [int(v) for v in net.variable_ids],
+        "root": done[id(net.root)],
     }
 
 
-def _node_from_dict(obj: dict, rows: list):
-    """Parse one node; its CPT tables and decision weights are appended
-    to `rows` as (k, 2) arrays, for one probability check per network."""
+def _node_from_dict(obj: dict):
+    """One node; a decision node's children are left for the caller."""
     kind = obj.get("kind")
     if kind == "leaf":
-        return Leaf(_tree_from_dict(obj["tree"], rows))
+        return Leaf(_tree_from_dict(obj["tree"]))
     if kind == "decision":
         weights = np.array(obj["weights"], dtype=np.float64)
-        if len(obj["children"]) != 2 or weights.shape != (2,):
-            raise DatasetError("a decision node needs two children and two weights")
-        rows.append(weights[None, :])
-        children = tuple(_node_from_dict(c, rows) for c in obj["children"])
-        return DecisionNode(int(obj["var"]), weights, children)
+        return DecisionNode(int(obj["var"]), weights, [])
     raise DatasetError(f"unknown node kind {kind!r} in model file")
 
 
-def _net_to_dict(net: CutsetNetwork) -> dict:
-    return {
-        "variable_ids": [int(v) for v in net.variable_ids],
-        "root": _node_to_dict(net.root),
-    }
-
-
 def _net_from_dict(obj: dict) -> CutsetNetwork:
-    rows = [np.empty((0, 2))]
-    root = _node_from_dict(obj["root"], rows)
-    rows = np.concatenate(rows)
-    in_range = np.all((rows >= 0.0) & (rows <= 1.0))
-    if not (in_range and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
-        raise DatasetError(
-            "CPT rows and decision weights must lie in [0, 1] and sum to 1"
-        )
-    return CutsetNetwork(root, np.array(obj["variable_ids"], dtype=np.int64))
+    root = _node_from_dict(obj["root"])
+    for node, node_obj in walk(root, obj["root"], lambda n, o, k: o["children"][k]):
+        if node.kind == "decision":
+            node.children = [_node_from_dict(c) for c in node_obj["children"]]
+    net = CutsetNetwork(root, np.array(obj["variable_ids"], dtype=np.int64))
+    net.validate()
+    return net
 
 
 def _score_to_dict(cfg: ScoreConfig) -> dict:
@@ -152,21 +141,27 @@ def model_from_dict(obj: dict):
 
 
 def save_model(path, model, score: ScoreConfig, provenance: dict | None = None) -> None:
-    payload = json.dumps(
-        model_to_dict(model, score, provenance), separators=(",", ":")
-    )
+    try:
+        payload = json.dumps(
+            model_to_dict(model, score, provenance), separators=(",", ":")
+        )
+    except RecursionError as exc:
+        raise DatasetError(f"{path}: model nests too deeply for JSON") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
         fh.write("\n")
 
 
 def load_model(path):
-    """Returns (model, score config, provenance dict)."""
+    """Returns (model, score config, provenance dict); a file that fails
+    any check of `CutsetNetwork.validate` raises DatasetError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: not a valid model file: {exc}") from exc
+        except RecursionError as exc:
+            raise DatasetError(f"{path}: model file nests too deeply for JSON") from exc
     if not isinstance(obj, dict):
         raise DatasetError(f"{path}: not a valid model file")
     try:

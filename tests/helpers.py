@@ -290,6 +290,16 @@ def routed_decision_counts(net, d: WeightedDataset) -> dict:
     return counts
 
 
+def pair_counts(d: WeightedDataset, i: int, j: int) -> np.ndarray:
+    """2x2 weighted contingency table by np.add.at: table[a, b] = weight
+    of rows with x_i = a and x_j = b."""
+    xi = d.samples[:, d.column(i)].astype(np.int64)
+    xj = d.samples[:, d.column(j)].astype(np.int64)
+    table = np.zeros((2, 2))
+    np.add.at(table, (xi, xj), d.weights)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # slow references for the counting fast paths: one family, one variable
 # or one edge at a time, as the library computed them before it counted

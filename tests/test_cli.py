@@ -330,8 +330,21 @@ def _first_leaf(node: dict) -> dict:
     return node
 
 
+def _first_tree(model: dict) -> dict:
+    return _first_leaf(model["net"]["root"])["tree"]
+
+
 def _first_cpt(model: dict) -> list:
-    return _first_leaf(model["net"]["root"])["tree"]["cpt"][0]
+    return _first_tree(model)["cpt"][0]
+
+
+def _claim_root_var(model: dict) -> None:
+    _first_tree(model)["variable_ids"][0] = model["net"]["root"]["var"]
+
+
+def _repeat_root_in_order(model: dict) -> None:
+    order = _first_tree(model)["order"]
+    order[-1] = order[0]
 
 
 @pytest.mark.parametrize(
@@ -345,6 +358,8 @@ def _first_cpt(model: dict) -> list:
         (lambda m: m["net"]["root"].__setitem__("weights", [0.9, 0.9]), "sum to 1"),
         (lambda m: _first_cpt(m).__setitem__(0, [0.9, 0.9]), "sum to 1"),
         (lambda m: _first_cpt(m)[0].append(0.0), "1x2"),
+        (_claim_root_var, "the scope its path leaves"),
+        (_repeat_root_in_order, "list every variable once"),
     ],
     ids=[
         "no-root",
@@ -355,6 +370,8 @@ def _first_cpt(model: dict) -> list:
         "weights-not-distribution",
         "cpt-row-not-distribution",
         "cpt-wrong-shape",
+        "leaf-scope",
+        "order-repeats-root",
     ],
 )
 def test_malformed_model_file_is_usage_error(
@@ -370,6 +387,27 @@ def test_malformed_model_file_is_usage_error(
     assert main(["eval", str(model), str(train_csv)]) == 2
     err = capsys.readouterr().err
     assert str(model) in err and problem in err
+    assert "internal error" not in err
+
+
+def test_over_deep_model_file_is_usage_error(tmp_path, train_csv, capsys):
+    # 3,000 nested decisions are deeper than the JSON parser nests
+    leaf = '{"kind":"leaf","tree":{"variable_ids":[],"parents":[],"order":[],"cpt":[]}}'
+    depth = 3000
+    head = "".join(
+        f'{{"kind":"decision","var":{i},"weights":[0.5,0.5],"children":[{leaf},'
+        for i in range(depth)
+    )
+    root = head + leaf + "]}" * depth
+    model = tmp_path / "deep.json"
+    model.write_text(
+        '{"format_version":1,"kind":"cnet","score":{"kind":"bd","alpha":0.1,'
+        '"beta":0.01,"root_dataset_size":1.0},"provenance":{},'
+        '"net":{"variable_ids":[],"root":' + root + "}}"
+    )
+    assert main(["eval", str(model), str(train_csv)]) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "nests too deeply" in err
     assert "internal error" not in err
 
 

@@ -18,12 +18,12 @@ from cnetlearn import (
     clt_sample,
     learn_clt,
     mutual_information,
-    pair_counts,
 )
 
 from helpers import (
     all_spanning_trees,
     enumerate_bits,
+    pair_counts,
     prequential_counts_log,
     random_dataset,
     random_tree,
@@ -171,6 +171,25 @@ def test_learn_clt_zero_weight_dataset():
     t.validate()
     for v in range(3):
         assert np.allclose(t.cpt[v], 0.5)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda t: t.order.__setitem__(2, t.order[0]),
+        lambda t: t.parents.__setitem__(t.order[2], -1),
+        lambda t: setattr(t, "order", t.order[::-1].copy()),
+        lambda t: t.cpt.__setitem__(0, np.array([[0.5, 0.5], [0.5, 0.5]])),
+        lambda t: t.cpt.__setitem__(1, np.array([[0.9, 0.9], [0.5, 0.5]])),
+    ],
+    ids=["order-repeats-root", "two-roots", "children-first", "root-2x2", "row-sum"],
+)
+def test_validate_raises_dataset_error(damage):
+    t = learn_clt(unit_dataset([[0, 0, 1], [1, 1, 0], [1, 1, 1]]), 0.1)
+    t.validate()
+    damage(t)
+    with pytest.raises(DatasetError):
+        t.validate()
 
 
 def test_learn_clt_deterministic():

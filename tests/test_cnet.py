@@ -10,21 +10,31 @@ import pytest
 from cnetlearn import (
     BD,
     BIC,
+    ChowLiuTree,
+    CutsetNetwork,
     DatasetError,
+    DecisionNode,
+    Leaf,
     LearnerConfig,
     ScoreConfig,
+    SumNodeCounts,
     WeightedDataset,
+    bd_cnet,
+    bd_sum_node,
+    clt_bd_score,
     clt_log_density_rows,
     cnet_log_density,
     cnet_log_density_rows,
     cnet_mpe,
     cnet_sample,
+    induced_path,
     information_gain,
     learn_clt,
     learn_cnet,
     model_to_dict,
     select_best_candidates,
     select_best_cut,
+    structure_param_count,
 )
 
 from helpers import (
@@ -416,3 +426,89 @@ def test_learn_uses_regime_structure_for_better_fit():
     net_ll = float(d.weights @ cnet_log_density_rows(net, d.samples))
     tree_ll = float(d.weights @ clt_log_density_rows(tree, d.samples))
     assert net_ll > tree_ll
+
+
+def test_validate_rejects_decision_outside_its_scope():
+    net = learn_cnet(switch_dataset_16(), LearnerConfig())
+    assert net.root.kind == "decision"
+    net.validate()
+    again = DecisionNode(net.root.var, np.array([0.5, 0.5]), list(net.root.children))
+    net.root.children[1] = again
+    with pytest.raises(DatasetError, match="not in its scope"):
+        net.validate()
+
+
+# ---------------------------------------------------------------------------
+# depth: no traversal recurses, so a chain deeper than Python's recursion
+# limit works everywhere
+
+CHAIN = 1100
+ROOT_ROW = np.array([[0.3, 0.7]])
+COND_ROWS = np.array([[0.8, 0.2], [0.4, 0.6]])
+
+
+def _chain_net():
+    """Decision i cuts variable i; its branch 0 is a chain-shaped leaf over
+    variables i+1..CHAIN, its branch 1 the next decision.  The leaves
+    share their id, parent, order and CPT arrays, so building is cheap."""
+    ids = np.arange(CHAIN + 1)
+    parents = np.arange(-1, CHAIN)
+    cpt = [ROOT_ROW] + [COND_ROWS] * CHAIN
+
+    def leaf(first):
+        m = CHAIN + 1 - first
+        return Leaf(ChowLiuTree(ids[first:], parents[:m], ids[:m], cpt[:m]))
+
+    node = leaf(CHAIN)
+    for i in range(CHAIN - 1, -1, -1):
+        node = DecisionNode(i, np.array([0.5, 0.5]), [leaf(i + 1), node])
+    return CutsetNetwork(node, ids)
+
+
+def _chain_leaf_log_density(x: np.ndarray) -> float:
+    return math.log(ROOT_ROW[0, x[0]]) + float(
+        np.log(COND_ROWS[x[:-1], x[1:]]).sum()
+    )
+
+
+def _leaf_of(net, row) -> Leaf:
+    node, k = induced_path(net, row)[-1]
+    return node.children[k]
+
+
+def test_chain_deeper_than_recursion_limit():
+    net = _chain_net()
+    net.validate()
+
+    rng = np.random.default_rng(77)
+    x = rng.integers(0, 2, size=(4, CHAIN + 1)).astype(np.uint8)
+    zeros = [None, 550, 0, 10]  # where each row leaves the chain
+    for row, z in zip(x, zeros):
+        row[: CHAIN if z is None else z] = 1
+        if z is not None:
+            row[z] = 0
+    got = cnet_log_density_rows(net, x)
+    for r, z in enumerate(zeros):
+        depth = CHAIN if z is None else z + 1
+        want = depth * math.log(0.5) + _chain_leaf_log_density(x[r, depth:])
+        assert math.isclose(got[r], want, rel_tol=1e-12)
+
+    values, score = cnet_mpe(net, {v: 1 for v in range(CHAIN)})
+    assert np.array_equal(values, np.ones(CHAIN + 1))
+    assert math.isclose(score, CHAIN * math.log(0.5) + math.log(0.7), rel_tol=1e-12)
+
+    # one parameter per decision, 2m - 1 per leaf over m variables
+    assert structure_param_count(net) == CHAIN + CHAIN**2 + 1
+
+    # empty leaves and decisions score exactly 0, so only the rows' paths count
+    d = unit_dataset(x)
+    want = 0.0
+    for r, z in enumerate(zeros):
+        depth = CHAIN if z is None else z + 1
+        leaf_d = unit_dataset(x[r : r + 1, depth:], ids=np.arange(depth, CHAIN + 1))
+        want += clt_bd_score(_leaf_of(net, x[r]).tree, leaf_d, 0.1)
+    want += sum(
+        bd_sum_node(SumNodeCounts(*n), 0.1)
+        for n in routed_decision_counts(net, d).values()
+    )
+    assert math.isclose(bd_cnet(net, d, 0.1), want, rel_tol=1e-12)

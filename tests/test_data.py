@@ -1,4 +1,4 @@
-"""Dataset container, CSV round trips, and counting primitives."""
+"""Dataset container, CSV round trips, and restriction."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from cnetlearn import (
     DatasetError,
     WeightedDataset,
     load_csv,
-    pair_counts,
     restrict,
     save_csv,
 )
@@ -143,23 +142,3 @@ def test_restrict_rejects_bad_value():
     with pytest.raises(DatasetError):
         restrict(d, 0, 2)
 
-
-def test_pair_counts_examples():
-    d = unit_dataset([[0, 0], [0, 1], [1, 1], [1, 1]])
-    t = pair_counts(d, 0, 1)
-    assert np.array_equal(t, [[1.0, 1.0], [0.0, 2.0]])
-    assert t.sum() == d.total_weight
-    # transposing the variable order transposes the table
-    assert np.array_equal(pair_counts(d, 1, 0), t.T)
-
-
-def test_pair_counts_weighted():
-    d = WeightedDataset(np.array([[0, 1], [1, 0]]), np.array([0.25, 1.5]))
-    t = pair_counts(d, 0, 1)
-    assert t[0, 1] == 0.25 and t[1, 0] == 1.5
-
-
-def test_pair_counts_same_variable_rejected():
-    d = unit_dataset([[0, 1]])
-    with pytest.raises(DatasetError):
-        pair_counts(d, 1, 1)

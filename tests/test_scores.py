@@ -19,7 +19,6 @@ from cnetlearn import (
     bic_cnet,
     clt_bd_score,
     clt_log_likelihood,
-    cut_score_delta,
     evaluate_cut,
     learn_clt,
     learn_cnet,
@@ -275,14 +274,14 @@ def test_cut_delta_rejects_small_scope():
     d = unit_dataset([[0], [1]])
     leaf = learn_clt(d, 0.0)
     with pytest.raises(DatasetError):
-        cut_score_delta(leaf, d, 0, ScoreConfig())
+        evaluate_cut(leaf, d, 0, ScoreConfig()).delta
 
 
 def test_cut_delta_rejects_unknown_variable():
     d = unit_dataset([[0, 1], [1, 0]])
     leaf = learn_clt(d, 0.0)
     with pytest.raises(DatasetError):
-        cut_score_delta(leaf, d, 5, ScoreConfig())
+        evaluate_cut(leaf, d, 5, ScoreConfig()).delta
 
 
 def test_cut_delta_noise_rejection_bd():
@@ -292,7 +291,7 @@ def test_cut_delta_noise_rejection_bd():
         d = random_dataset(rng, 256, 5)
         cfg = ScoreConfig(kind=BD, alpha=0.1)
         leaf = learn_clt(d, cfg.fit_beta)
-        deltas = [cut_score_delta(leaf, d, v, cfg) for v in range(5)]
+        deltas = [evaluate_cut(leaf, d, v, cfg).delta for v in range(5)]
         assert all(dv < 0 for dv in deltas), (seed, deltas)
 
 
@@ -302,7 +301,7 @@ def test_cut_delta_noise_rejection_bic():
         d = random_dataset(rng, 256, 5)
         cfg = ScoreConfig(kind=BIC, beta=0.01, root_dataset_size=d.total_weight)
         leaf = learn_clt(d, cfg.fit_beta)
-        deltas = [cut_score_delta(leaf, d, v, cfg) for v in range(5)]
+        deltas = [evaluate_cut(leaf, d, v, cfg).delta for v in range(5)]
         assert all(dv < 0 for dv in deltas), (seed, deltas)
 
 
@@ -312,16 +311,16 @@ def test_cut_delta_regime_switch_positive_both_scores():
     # rows are already enough for both scores to accept the cut
     d = switch_dataset_16()
     bd_cfg = ScoreConfig(kind=BD, alpha=0.1)
-    bd_delta = cut_score_delta(learn_clt(d, bd_cfg.fit_beta), d, 0, bd_cfg)
+    bd_delta = evaluate_cut(learn_clt(d, bd_cfg.fit_beta), d, 0, bd_cfg).delta
     assert bd_delta > 0
     bic_cfg = ScoreConfig(kind=BIC, beta=0.01, root_dataset_size=d.total_weight)
-    bic_delta = cut_score_delta(learn_clt(d, bic_cfg.fit_beta), d, 0, bic_cfg)
+    bic_delta = evaluate_cut(learn_clt(d, bic_cfg.fit_beta), d, 0, bic_cfg).delta
     assert bic_delta > 0
 
 
 def test_cut_delta_matches_learner_acceptance():
     # the learner's first accepted cut carries exactly the delta that
-    # cut_score_delta reports at the root
+    # evaluate_cut reports at the root
     d = switch_dataset_16()
     cfg = LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1))
     trace = []
@@ -329,7 +328,7 @@ def test_cut_delta_matches_learner_acceptance():
     assert trace, "expected at least one accepted cut"
     first = trace[0]
     leaf = learn_clt(d, cfg.score.fit_beta)
-    assert first["delta"] == cut_score_delta(leaf, d, first["var"], cfg.score)
+    assert first["delta"] == evaluate_cut(leaf, d, first["var"], cfg.score).delta
 
 
 def test_fractional_counts_change_the_score():

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from cnetlearn import (
+    ChowLiuTree,
+    CutsetNetwork,
     DatasetError,
+    DecisionNode,
+    Leaf,
     LearnerConfig,
     Mixture,
     ScoreConfig,
@@ -109,3 +113,20 @@ def test_load_rejects_non_object(tmp_path):
     path.write_text("[1,2,3]\n")
     with pytest.raises(DatasetError):
         load_model(str(path))
+
+
+def test_save_rejects_model_deeper_than_json_nests(tmp_path):
+    # save does not validate, so one variable serves every level; a valid
+    # network this deep needs 3,001 variables and takes seconds to write
+    def leaf():
+        cpt = [np.array([[0.5, 0.5]])]
+        return Leaf(ChowLiuTree(np.array([0]), np.array([-1]), np.array([0]), cpt))
+
+    node = leaf()
+    for _ in range(3000):
+        node = DecisionNode(0, np.array([0.5, 0.5]), [leaf(), node])
+    path = tmp_path / "deep.json"
+    with pytest.raises(DatasetError, match="nests too deeply") as exc:
+        save_model(path, CutsetNetwork(node, np.array([0])), ScoreConfig())
+    assert str(path) in str(exc.value)
+    assert not path.exists()
