@@ -18,7 +18,6 @@ from .cnet import (
     DecisionNode,
     Leaf,
     LearnerConfig,
-    cnet_log_density,
     cnet_log_density_rows,
     cnet_mpe,
     cnet_sample,
@@ -51,7 +50,6 @@ from .mixture import (
     kmeans_init,
     learn_sem,
     m_step,
-    mixture_log_density,
     mixture_log_density_rows,
 )
 from .numerics import entropy, log_beta, log_gamma, log_sum_exp, log_sum_exp_rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnet import walk
-from .data import DatasetError
+from .data import DatasetError, _check_cells
 from .numerics import log_sum_exp_rows
 
 __all__ = [
@@ -180,15 +180,6 @@ def _column_map(circuit: Circuit, variable_ids) -> dict:
     return col
 
 
-def _check_x(x: np.ndarray, n_cols: int) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != n_cols:
-        raise DatasetError("assignment matrix has the wrong shape")
-    if x.size and not np.all((x == 0) | (x == 1)):
-        raise DatasetError("assignments must be 0/1")
-    return x.astype(np.int64, copy=False)
-
-
 _CHUNK = 4096
 
 
@@ -218,7 +209,7 @@ def circuit_log_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
     """Root log value per row; computed entirely in the log domain.
     Columns follow `variable_ids`, default ascending root scope."""
     col = _column_map(circuit, variable_ids)
-    x = _check_x(x, len(col))
+    x = _check_cells(x, len(col))
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], _CHUNK):
         chunk = x[lo : lo + _CHUNK]
@@ -277,7 +268,7 @@ def check_deterministic(
         x = _enumerate_assignments(len(scope_vars))
         variable_ids = scope_vars
     col = _column_map(circuit, variable_ids)
-    x = _check_x(x, len(col))
+    x = _check_cells(x, len(col))
     sums = [n for n in circuit.nodes if n.kind == "sum"]
     for lo in range(0, x.shape[0], _CHUNK):
         vals = _log_forward(circuit, x[lo : lo + _CHUNK], col)

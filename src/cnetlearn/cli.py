@@ -20,19 +20,18 @@ from .circuit import circuit_log_values, compile_cnet
 from .cnet import (
     CutsetNetwork,
     LearnerConfig,
-    cnet_log_density_rows,
     cnet_mpe,
     cnet_sample,
     learn_cnet,
     walk,
 )
-from .data import DatasetError, WeightedDataset, load_csv, save_csv
+from .data import DatasetError, WeightedDataset, _read_cells, load_csv, save_csv
 from .mixture import (
     Mixture,
     learn_sem,
     log_density_rows,
     mean_log_likelihood,
-    mixture_log_density,
+    mixture_log_density_rows,
 )
 from .numerics import log_sum_exp_rows
 from .scores import BD, BIC, ScoreConfig, bd_cnet, bic_cnet, structure_param_count
@@ -204,77 +203,53 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _sample(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    if not isinstance(model, Mixture):
+        return cnet_sample(model, n, rng)
+    which = rng.choice(model.n_components, size=n, p=model.mix_weights)
+    out = np.empty((n, model.n_vars), dtype=np.uint8)
+    for k, comp in enumerate(model.components):
+        rows = which == k
+        out[rows] = cnet_sample(comp, int(rows.sum()), rng)
+    return out
+
+
 def cmd_sample(args) -> int:
     model, _, _ = load_model(args.model)
     if args.n < 1:
         raise DatasetError("need at least one sample")
-    rng = np.random.default_rng(args.seed)
-    out = np.empty((args.n, model.n_vars), dtype=np.uint8)
-    for i in range(args.n):
-        if isinstance(model, Mixture):
-            k = int(rng.choice(model.n_components, p=model.mix_weights))
-            out[i] = cnet_sample(model.components[k], rng)
-        else:
-            out[i] = cnet_sample(model, rng)
+    out = _sample(model, args.n, np.random.default_rng(args.seed))
     save_csv(WeightedDataset(out, np.ones(args.n), model.variable_ids), args.out)
     _emit(wrote=str(args.out), n=args.n)
     return 0
 
 
-def _load_evidence(path, n_vars: int) -> list:
-    """Rows of 0/1/? cells; returns one {column -> value} dict per row."""
-    rows = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if len(tokens) != n_vars:
-                raise DatasetError(
-                    f"{path}: line {lineno}: expected {n_vars} cells, "
-                    f"got {len(tokens)}"
-                )
-            row = {}
-            for pos, tok in enumerate(tokens):
-                if tok == "?":
-                    continue
-                if tok not in ("0", "1"):
-                    raise DatasetError(
-                        f"{path}: line {lineno}: invalid cell {tok!r} "
-                        f"(expected 0, 1, or ?)"
-                    )
-                row[pos] = int(tok)
-            rows.append(row)
-    if not rows:
-        raise DatasetError(f"{path}: empty evidence file")
-    return rows
-
-
-def _model_mpe(model, evidence: dict) -> tuple:
-    if isinstance(model, Mixture):
-        # maximize each component, keep the completion the mixture likes best
-        best = None
-        for comp in model.components:
-            values, _ = cnet_mpe(comp, evidence)
-            score = mixture_log_density(model, values)
-            if best is None or score > best[1]:
-                best = (values, score)
-        return best
-    return cnet_mpe(model, evidence)
+def _model_mpe(model, evidence: np.ndarray) -> tuple:
+    if not isinstance(model, Mixture):
+        return cnet_mpe(model, evidence)
+    # maximize each component; per row, keep the first completion the
+    # mixture likes best
+    found = np.stack([cnet_mpe(comp, evidence)[0] for comp in model.components])
+    scores = np.stack([mixture_log_density_rows(model, v) for v in found])
+    best, rows = scores.argmax(axis=0), np.arange(len(evidence))
+    return found[best, rows], scores[best, rows]
 
 
 def cmd_mpe(args) -> int:
     model, _, _ = load_model(args.model)
-    ev_rows = _load_evidence(args.evidence, model.n_vars)
-    ids = [int(v) for v in model.variable_ids]
+    evidence = _read_cells(args.evidence, free="?")
+    if evidence.shape[1] != model.n_vars:
+        raise DatasetError(
+            f"{args.evidence}: evidence rows have {evidence.shape[1]} cells, "
+            f"model expects {model.n_vars}"
+        )
+    values, scores = _model_mpe(model, evidence)
     with open(args.out, "w") as fh:
-        for row in ev_rows:
-            evidence = {ids[pos]: val for pos, val in row.items()}
-            values, score = _model_mpe(model, evidence)
-            fh.write(",".join(str(int(v)) for v in values))
-            fh.write(f",{score!r}\n")
-    _emit(wrote=str(args.out), n=len(ev_rows))
+        fh.writelines(
+            ",".join(map(str, row)) + f",{score!r}\n"
+            for row, score in zip(values.tolist(), scores.tolist())
+        )
+    _emit(wrote=str(args.out), n=len(values))
     return 0
 
 
@@ -301,8 +276,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             net = learn_cnet(d_train, cfg)
             elapsed = time.perf_counter() - t0
-            rows = cnet_log_density_rows(net, d_test.samples)
-            mean_ll = float(d_test.weights @ rows) / d_test.total_weight
+            mean_ll = mean_log_likelihood(net, d_test)
             params = structure_param_count(net)
             results.append((name, method, elapsed, mean_ll, params))
             _emit(

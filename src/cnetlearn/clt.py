@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WeightedDataset, DatasetError
+from .data import DatasetError, WeightedDataset, _check_cells
 
 __all__ = [
     "ChowLiuTree",
@@ -280,60 +280,49 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     return score
 
 
-def clt_sample(t: ChowLiuTree, rng: np.random.Generator) -> np.ndarray:
-    """Ancestral sample, returned in scope (variable_ids) order."""
-    values = np.zeros(t.n_vars, dtype=np.uint8)
+def clt_sample(t: ChowLiuTree, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n ancestral samples, one row each in scope (variable_ids) order;
+    each variable is drawn for all rows at once, in tree order."""
+    values = np.zeros((n, t.n_vars), dtype=np.uint8)
     for v in t.order:
         p = t.parents[v]
-        row = t.cpt[v][0] if p < 0 else t.cpt[v][values[p]]
-        values[v] = 1 if rng.random() < row[1] else 0
+        p1 = t.cpt[v][0, 1] if p < 0 else t.cpt[v][values[:, p], 1]
+        values[:, v] = rng.random(n) < p1
     return values
 
 
-def clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
-    """Most probable completion of `evidence` (a global-id -> value map).
+def clt_mpe(t: ChowLiuTree, evidence: np.ndarray) -> tuple:
+    """Most probable completion of each evidence row.
 
-    Exact max-product over the tree; ties are broken toward value 0.
-    Returns (assignment over the scope in order, its log density).
+    `evidence` is an (n, n_vars) matrix in scope order whose cells are
+    0, 1, or -1 for a free variable.  Exact max-product over the tree, for
+    all rows at once; an observed value is kept even when it has
+    probability 0, and ties go to value 0.  Returns (the (n, n_vars)
+    completions, their log densities).
     """
-    id_to_local = {int(g): v for v, g in enumerate(t.variable_ids)}
-    fixed = {}
-    for g, val in evidence.items():
-        if g not in id_to_local:
-            raise DatasetError(f"evidence variable {g} outside tree scope")
-        fixed[id_to_local[g]] = int(val)
-
+    ev = _check_cells(evidence, t.n_vars, cells=(-1, 0, 1))
     kids = t.children()
-    # message[v][u] = best log score of v's subtree given parent value u
-    msg = np.zeros((t.n_vars, 2))
-    choice = np.zeros((t.n_vars, 2), dtype=np.int64)
     with np.errstate(divide="ignore"):
         logcpt = [np.log(c) for c in t.cpt]
+    # msg[v][r, u]: best log score of v's subtree in row r given parent
+    # value u; pick[v][r, u]: the value of v that attains it
+    msg, pick = {}, {}
+    for v in t.order[::-1].tolist():
+        s = logcpt[v][None]  # s[r, u, x], summed in the order of the kids
+        for c in kids[v]:
+            s = s + msg[c][:, None, :]
+        s = np.broadcast_to(s, (ev.shape[0],) + logcpt[v].shape)
+        obs = ev[:, v, None]
+        pick[v] = np.where(obs < 0, s[..., 1] > s[..., 0], obs == 1)
+        msg[v] = np.where(pick[v], s[..., 1], s[..., 0])
 
-    for v in t.order[::-1]:
+    values = np.zeros(ev.shape, dtype=np.uint8)
+    rows = np.arange(ev.shape[0])
+    for v in t.order.tolist():
         p = t.parents[v]
-        n_pvals = 1 if p < 0 else 2
-        for u in range(n_pvals):
-            best, best_x = -math.inf, 0
-            for x in (0, 1):
-                if v in fixed and fixed[v] != x:
-                    continue
-                s = logcpt[v][u, x]
-                for c in kids[v]:
-                    s += msg[c, x]
-                if s > best:
-                    best, best_x = s, x
-            msg[v, u] = best
-            choice[v, u] = best_x
-
-    values = np.zeros(t.n_vars, dtype=np.uint8)
-    for v in t.order:
-        p = t.parents[v]
-        u = 0 if p < 0 else values[p]
-        values[v] = choice[v, u]
-    # re-evaluate so the returned score is exactly the assignment's density
-    score = float(clt_log_density_rows(t, values[None, :])[0])
-    return values, score
+        values[:, v] = pick[v][rows, 0 if p < 0 else values[:, p]]
+    # re-evaluate so each score is exactly its completion's density
+    return values, clt_log_density_rows(t, values)
 
 
 def clt_param_count(t: ChowLiuTree) -> int:

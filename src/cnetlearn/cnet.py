@@ -29,7 +29,7 @@ from .clt import (
     clt_sample,
     learn_clt,
 )
-from .data import DatasetError, WeightedDataset
+from .data import DatasetError, WeightedDataset, _check_cells
 from .scores import BIC, CutCandidate, ScoreConfig, _leaf_score, evaluate_cut
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "select_best_candidates",
     "select_best_cut",
     "learn_cnet",
-    "cnet_log_density",
     "cnet_log_density_rows",
     "cnet_sample",
     "cnet_mpe",
@@ -73,6 +72,10 @@ def walk(root, item=None, route=None):
     subtree before child 1's.  The stack is explicit, so depth is
     unbounded.  `route(node, item, k)` gives child k's item, and None
     skips that subtree; without `route` every node gets `item`.
+    `route` is asked for a node's children only once the caller has
+    handled the node, so it may read what the caller wrote there:
+    `cnet_sample` and `cnet_mpe` route rows on the branch values they
+    have just written.
     Bottom-up callers iterate `reversed(list(walk(...)))`."""
     stack = [(root, item)]
     while stack:
@@ -249,26 +252,33 @@ def learn_cnet(
     return CutsetNetwork(root[0], d.variable_ids.copy())
 
 
-def _check_assignment_matrix(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != net.n_vars:
-        raise DatasetError("assignment matrix does not match the network scope")
-    if x.size and not np.all((x == 0) | (x == 1)):
-        raise DatasetError("assignments must be 0/1")
-    return x.astype(np.uint8, copy=False)
+def _router(net: CutsetNetwork, x: np.ndarray):
+    """`walk` route that sends each row of `x` down every branch its cell
+    of the cut variable allows: the branch the cell holds, or both for a
+    free cell (-1).  A branch that no row takes is skipped."""
+
+    def route(node, idx, k):
+        sub = idx[x[idx, net.column_of(node.var)] != 1 - k]
+        return sub if sub.size else None
+
+    return route
+
+
+def _log_weight(node, k: int) -> float:
+    w = float(node.weights[k])
+    return math.log(w) if w > 0 else -math.inf
 
 
 def cnet_log_density_rows(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
     """Per-row log density of full assignments given in scope order."""
-    x = _check_assignment_matrix(net, x)
+    x = _check_cells(x, net.n_vars)
     ll = np.zeros(x.shape[0])
+    by_value = _router(net, x)
 
     def route(node, idx, k):
-        sub = idx[x[idx, net.column_of(node.var)] == k]
-        if sub.size == 0:
-            return None
-        w = float(node.weights[k])
-        ll[sub] += math.log(w) if w > 0 else -math.inf
+        sub = by_value(node, idx, k)
+        if sub is not None:
+            ll[sub] += _log_weight(node, k)
         return sub
 
     for node, idx in walk(net.root, np.arange(x.shape[0]), route):
@@ -278,72 +288,60 @@ def cnet_log_density_rows(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
     return ll
 
 
-def cnet_log_density(net: CutsetNetwork, x: np.ndarray) -> float:
-    """Log density of one full assignment in scope order."""
-    return float(cnet_log_density_rows(net, np.asarray(x)[None, :])[0])
-
-
-def cnet_sample(net: CutsetNetwork, rng: np.random.Generator) -> np.ndarray:
-    """One ancestral sample in scope order: branch draws along the path,
-    then the leaf's tree draws."""
-    out = np.zeros(net.n_vars, dtype=np.uint8)
-    node = net.root
-    while node.kind == "decision":
-        k = 1 if rng.random() < node.weights[1] else 0
-        out[net.column_of(node.var)] = k
-        node = node.children[k]
-    tree = node.tree
-    if tree.n_vars:
-        cols = np.searchsorted(net.variable_ids, tree.variable_ids)
-        out[cols] = clt_sample(tree, rng)
+def cnet_sample(net: CutsetNetwork, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n ancestral samples, one row each in scope order.  Each decision
+    node draws its variable for the rows that reach it, which then go down
+    the branch drawn; each leaf's tree draws the rest of its rows."""
+    out = np.zeros((n, net.n_vars), dtype=np.uint8)
+    for node, idx in walk(net.root, np.arange(n), _router(net, out)):
+        if node.kind == "decision":
+            out[idx, net.column_of(node.var)] = rng.random(idx.size) < node.weights[1]
+        else:
+            cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
+            out[np.ix_(idx, cols)] = clt_sample(node.tree, idx.size, rng)
     return out
 
 
-def cnet_mpe(net: CutsetNetwork, evidence: dict) -> tuple:
-    """Most probable completion of partial evidence.
+def cnet_mpe(net: CutsetNetwork, evidence: np.ndarray) -> tuple:
+    """Most probable completion of each evidence row.
 
-    Evidence maps global variable ids to 0/1.  At an unobserved decision
-    node both branches are maximized and compared including the branch
-    weight; ties go to branch 0.  Returns (values in scope order, log
-    density of the returned assignment); the score is recomputed through
-    the density evaluator so the pair is exactly self-consistent.
+    `evidence` is an (n, n_vars) matrix in scope order whose cells are
+    0, 1, or -1 for a free variable.  Bottom-up, each node gets the rows
+    whose evidence allows its path and keeps their best score: an
+    observed cut takes the observed branch, a free cut the branch whose
+    log weight plus best score is higher, branch 0 on a tie.  Top-down,
+    each row follows its chosen branches to a leaf's tree MPE.  Returns
+    (the (n, n_vars) completions, their log densities); the scores are
+    recomputed by the density evaluator, so each pair is exactly
+    self-consistent.
     """
-    scope = set(int(v) for v in net.variable_ids)
-    ev_all = {int(v): int(val) for v, val in evidence.items()}
-    for v, val in ev_all.items():
-        if v not in scope:
-            raise DatasetError(f"evidence variable {v} outside the network scope")
-        if val not in (0, 1):
-            raise DatasetError("evidence values must be 0 or 1")
-
-    def route(node, _, k):
-        if ev_all.get(int(node.var), k) != k:
-            return None  # the other branch of an observed cut
-        w = float(node.weights[k])
-        return math.log(w) if w > 0 else -math.inf
-
-    # bottom-up: done[id(node)] = (assignment, best log score, log weight
-    # of the branch into the node)
-    done = {}
-    for node, logw in reversed(list(walk(net.root, 0.0, route))):
+    ev = _check_cells(evidence, net.n_vars, cells=(-1, 0, 1))
+    # best[id(node)] = (its rows, per row the leaf completion or the
+    # branch taken, per row the best log score of the node's subtree)
+    best = {}
+    rows = np.arange(ev.shape[0])
+    for node, idx in reversed(list(walk(net.root, rows, _router(net, ev)))):
         if node.kind == "leaf":
-            ids = node.tree.variable_ids
-            ev = {int(g): ev_all[int(g)] for g in ids if int(g) in ev_all}
-            vals, s = clt_mpe(node.tree, ev)
-            assign = dict(zip((int(g) for g in ids), (int(v) for v in vals)))
-            done[id(node)] = (assign, s, logw)
+            cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
+            values, score = clt_mpe(node.tree, ev[np.ix_(idx, cols)])
+            best[id(node)] = (idx, values, score)
             continue
-        var = int(node.var)
-        branch = [done.get(id(c)) for c in node.children]
-        if var in ev_all:
-            k = ev_all[var]
-        else:
-            (_, s0, w0), (_, s1, w1) = branch
-            k = 1 if w1 + s1 > w0 + s0 else 0
-        assign, s, w = branch[k]
-        assign[var] = k
-        done[id(node)] = (assign, s + w, logw)
+        obs = ev[idx, net.column_of(node.var)]
+        total = np.full((2, idx.size), -math.inf)
+        for k in (0, 1):
+            reach = obs != 1 - k
+            if reach.any():
+                total[k, reach] = _log_weight(node, k) + best[id(node.children[k])][2]
+        branch = np.where(obs < 0, total[1] > total[0], obs == 1)
+        best[id(node)] = (idx, branch, np.where(branch, total[1], total[0]))
 
-    assign = done[id(net.root)][0]
-    values = np.array([assign[int(v)] for v in net.variable_ids], dtype=np.uint8)
-    return values, cnet_log_density(net, values)
+    out = np.zeros(ev.shape, dtype=np.uint8)
+    for node, idx in walk(net.root, rows, _router(net, out)):
+        reached, chosen, _ = best[id(node)]
+        chosen = chosen[np.searchsorted(reached, idx)]
+        if node.kind == "decision":
+            out[idx, net.column_of(node.var)] = chosen
+        else:
+            cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
+            out[np.ix_(idx, cols)] = chosen
+    return out, cnet_log_density_rows(net, out)

@@ -108,44 +108,76 @@ class WeightedDataset:
         return WeightedDataset(self.samples, weights, self.variable_ids)
 
 
+def _read_cells(path, free=None) -> np.ndarray:
+    """The cells of a comma-separated file as an int8 matrix.
+
+    Cells are 0 or 1, or the token `free`, read as -1, when one is given.
+    Blank lines and whitespace around cells are skipped.  Raises
+    DatasetError naming the file and the line of the first ragged row or
+    bad cell, or an empty file.
+    """
+    # with its whitespace gone, a well-formed row reads c,c,...,c.  The
+    # rows' bytes are laid out as wide as the first row; where two rows
+    # meet, two cells stand side by side, which the comma check allows
+    # only at the end of a layout row.  So if it passes, every row is as
+    # wide as the first.
+    with open(path, "r") as fh:
+        rows = [row for row in ("".join(line.split()) for line in fh) if row]
+    if not rows:
+        raise DatasetError(f"{path}: empty file")
+    width = len(rows[0])
+    grid = np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+    if width % 2 and grid.size == width * len(rows):
+        grid = grid.reshape(len(rows), width)
+        code = np.full(256, 2, dtype=np.int8)  # 2 marks a bad cell
+        code[ord("0")], code[ord("1")] = 0, 1
+        if free is not None:
+            code[ord(free)] = -1
+        cells = code[grid[:, ::2]]
+        if np.all(grid[:, 1::2] == ord(",")) and np.all(cells < 2):
+            return cells
+
+    # malformed: report the first bad line
+    arity = rows[0].count(",") + 1
+    allowed = ("0", "1") if free is None else ("0", "1", free)
+    with open(path, "r") as fh:
+        for no, line in enumerate(fh, start=1):
+            tokens = [tok.strip() for tok in line.split(",")]
+            if tokens == [""]:
+                continue  # a blank line
+            if len(tokens) != arity:
+                raise DatasetError(
+                    f"{path}: ragged row at line {no}: "
+                    f"expected {arity} values, got {len(tokens)}"
+                )
+            for tok in tokens:
+                if tok not in allowed:
+                    raise DatasetError(
+                        f"{path}: invalid token {tok!r} at line {no} "
+                        f"(expected {', '.join(allowed[:-1])} or {allowed[-1]})"
+                    )
+    raise AssertionError("unreachable: a well-formed file took the slow path")
+
+
+def _check_cells(x, n_cols: int, cells=(0, 1)) -> np.ndarray:
+    """`x` as an array, after checking that it is a matrix of `n_cols`
+    columns whose every cell is one of `cells`."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != n_cols:
+        raise DatasetError(f"expected a matrix with {n_cols} columns, got {x.shape}")
+    if not np.logical_or.reduce([x == c for c in cells]).all():
+        raise DatasetError(f"matrix cells must be one of {cells}")
+    return x
+
+
 def load_csv(path) -> WeightedDataset:
     """Load a comma-separated 0/1 file into a unit-weight dataset.
 
     Raises DatasetError with the offending line number on malformed
     tokens, ragged rows, or an empty file.
     """
-    rows = []
-    arity = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if arity is None:
-                arity = len(tokens)
-            elif len(tokens) != arity:
-                raise DatasetError(
-                    f"{path}: ragged row at line {lineno}: "
-                    f"expected {arity} values, got {len(tokens)}"
-                )
-            row = np.empty(arity, dtype=np.uint8)
-            for k, tok in enumerate(tokens):
-                tok = tok.strip()
-                if tok == "0":
-                    row[k] = 0
-                elif tok == "1":
-                    row[k] = 1
-                else:
-                    raise DatasetError(
-                        f"{path}: invalid token {tok!r} at line {lineno} "
-                        f"(expected 0 or 1)"
-                    )
-            rows.append(row)
-    if not rows:
-        raise DatasetError(f"{path}: empty file")
-    samples = np.vstack(rows)
-    return WeightedDataset(samples, np.ones(len(rows)))
+    cells = _read_cells(path)
+    return WeightedDataset(cells, np.ones(cells.shape[0]))
 
 
 def save_csv(dataset: WeightedDataset, path) -> None:
@@ -155,9 +187,8 @@ def save_csv(dataset: WeightedDataset, path) -> None:
     load_csv on unit-weight data.
     """
     with open(path, "w") as fh:
-        for row in dataset.samples:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+        rows = dataset.samples.tolist()
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def restrict(d: WeightedDataset, var: int, value: int) -> WeightedDataset:

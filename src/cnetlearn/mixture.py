@@ -21,7 +21,6 @@ __all__ = [
     "e_step",
     "m_step",
     "learn_sem",
-    "mixture_log_density",
     "mixture_log_density_rows",
     "log_density_rows",
     "mean_log_likelihood",
@@ -71,10 +70,6 @@ def _component_log_matrix(m: Mixture, x: np.ndarray) -> np.ndarray:
 def mixture_log_density_rows(m: Mixture, x: np.ndarray) -> np.ndarray:
     """Per-row log density of full assignments in scope order."""
     return log_sum_exp_rows(_component_log_matrix(m, np.asarray(x)))
-
-
-def mixture_log_density(m: Mixture, x: np.ndarray) -> float:
-    return float(mixture_log_density_rows(m, np.asarray(x)[None, :])[0])
 
 
 def _pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

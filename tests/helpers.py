@@ -17,18 +17,61 @@ import numpy as np
 from cnetlearn import (
     ChowLiuTree,
     CutsetNetwork,
+    DatasetError,
     DecisionNode,
     Leaf,
     SumNodeCounts,
     WeightedDataset,
+    Mixture,
     bd_sum_node,
     clt_bd_score,
+    clt_log_density_rows,
     clt_log_likelihood,
+    cnet_log_density_rows,
     learn_clt,
+    mixture_log_density_rows,
     restrict,
     structure_param_count,
 )
 from cnetlearn.clt import _fit_cpts
+from cnetlearn.cnet import walk
+
+
+def ref_read_cells(path, free=None) -> np.ndarray:
+    """CSV cells parsed token by token, as load_csv did before one
+    vectorized reader served data and evidence files alike."""
+    allowed = {"0": 0, "1": 1}
+    if free is not None:
+        allowed[free] = -1
+    *first, last = allowed
+    rows = []
+    arity = None
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split(",")
+            if arity is None:
+                arity = len(tokens)
+            elif len(tokens) != arity:
+                raise DatasetError(
+                    f"{path}: ragged row at line {lineno}: "
+                    f"expected {arity} values, got {len(tokens)}"
+                )
+            row = []
+            for tok in tokens:
+                tok = tok.strip()
+                if tok not in allowed:
+                    raise DatasetError(
+                        f"{path}: invalid token {tok!r} at line {lineno} "
+                        f"(expected {', '.join(first)} or {last})"
+                    )
+                row.append(allowed[tok])
+            rows.append(row)
+    if not rows:
+        raise DatasetError(f"{path}: empty file")
+    return np.array(rows, dtype=np.int8)
 
 
 def unit_dataset(rows, ids=None) -> WeightedDataset:
@@ -481,3 +524,115 @@ def ref_decision_weights(n0: float, n1: float, cfg) -> np.ndarray:
     h = cfg.alpha / 2.0 if cfg.kind != "bic" else cfg.beta
     denom = n0 + n1 + 2 * h
     return np.array([(n0 + h) / denom, (n1 + h) / denom])
+
+
+# ---------------------------------------------------------------------------
+# per-row MPE references: one {global id: value} evidence dict at a time,
+# as the library answered queries before it took evidence matrices
+
+def evidence_matrix(evidences, ids) -> np.ndarray:
+    """int8 evidence matrix, one row per {global id: value} dict and one
+    column per id in `ids`; -1 marks a free cell."""
+    col = {int(g): i for i, g in enumerate(ids)}
+    ev = np.full((len(evidences), len(col)), -1, dtype=np.int8)
+    for r, evidence in enumerate(evidences):
+        for g, val in evidence.items():
+            ev[r, col[int(g)]] = val
+    return ev
+
+
+def mpe_of(mpe, model, evidence: dict) -> tuple:
+    """(values, score) that `mpe` (clt_mpe or cnet_mpe) gives for one
+    {global id: value} evidence dict."""
+    values, scores = mpe(model, evidence_matrix([evidence], model.variable_ids))
+    return values[0], float(scores[0])
+
+
+def evidence_dict(row, ids) -> dict:
+    """The observed cells of one evidence-matrix row, by global id."""
+    return {int(g): int(v) for g, v in zip(ids, row) if v >= 0}
+
+
+def ref_clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
+    """Max-product over the tree with scalar messages; ties go to 0."""
+    id_to_local = {int(g): v for v, g in enumerate(t.variable_ids)}
+    fixed = {id_to_local[g]: int(val) for g, val in evidence.items()}
+
+    kids = t.children()
+    msg = np.zeros((t.n_vars, 2))
+    choice = np.zeros((t.n_vars, 2), dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        logcpt = [np.log(c) for c in t.cpt]
+
+    for v in t.order[::-1]:
+        p = t.parents[v]
+        n_pvals = 1 if p < 0 else 2
+        for u in range(n_pvals):
+            best, best_x = -math.inf, 0
+            for x in (0, 1):
+                if v in fixed and fixed[v] != x:
+                    continue
+                s = logcpt[v][u, x]
+                for c in kids[v]:
+                    s += msg[c, x]
+                if s > best:
+                    best, best_x = s, x
+            msg[v, u] = best
+            choice[v, u] = best_x
+
+    values = np.zeros(t.n_vars, dtype=np.uint8)
+    for v in t.order:
+        p = t.parents[v]
+        u = 0 if p < 0 else values[p]
+        values[v] = choice[v, u]
+    return values, float(clt_log_density_rows(t, values[None, :])[0])
+
+
+def ref_cnet_mpe(net: CutsetNetwork, evidence: dict) -> tuple:
+    """Bottom-up over the nodes the evidence allows, one assignment dict
+    per node; ties go to branch 0."""
+    ev_all = {int(v): int(val) for v, val in evidence.items()}
+
+    def route(node, _, k):
+        if ev_all.get(int(node.var), k) != k:
+            return None
+        w = float(node.weights[k])
+        return math.log(w) if w > 0 else -math.inf
+
+    done = {}
+    for node, logw in reversed(list(walk(net.root, 0.0, route))):
+        if node.kind == "leaf":
+            ids = node.tree.variable_ids
+            ev = {int(g): ev_all[int(g)] for g in ids if int(g) in ev_all}
+            vals, s = ref_clt_mpe(node.tree, ev)
+            assign = dict(zip((int(g) for g in ids), (int(v) for v in vals)))
+            done[id(node)] = (assign, s, logw)
+            continue
+        var = int(node.var)
+        branch = [done.get(id(c)) for c in node.children]
+        if var in ev_all:
+            k = ev_all[var]
+        else:
+            (_, s0, w0), (_, s1, w1) = branch
+            k = 1 if w1 + s1 > w0 + s0 else 0
+        assign, s, w = branch[k]
+        assign[var] = k
+        done[id(node)] = (assign, s + w, logw)
+
+    assign = done[id(net.root)][0]
+    values = np.array([assign[int(v)] for v in net.variable_ids], dtype=np.uint8)
+    return values, float(cnet_log_density_rows(net, values[None, :])[0])
+
+
+def ref_model_mpe(model, evidence: dict) -> tuple:
+    """For a mixture, the first per-component MPE that the mixture scores
+    best."""
+    if not isinstance(model, Mixture):
+        return ref_cnet_mpe(model, evidence)
+    best = None
+    for comp in model.components:
+        values, _ = ref_cnet_mpe(comp, evidence)
+        score = float(mixture_log_density_rows(model, values[None, :])[0])
+        if best is None or score > best[1]:
+            best = (values, score)
+    return best

@@ -32,7 +32,6 @@ from cnetlearn import (
     circuit_values,
     clt_log_density_rows,
     clt_mpe,
-    cnet_log_density,
     cnet_log_density_rows,
     cnet_mpe,
     compile_cnet,
@@ -51,6 +50,7 @@ from helpers import (
     all_spanning_trees,
     count_decisions,
     enumerate_bits,
+    mpe_of,
     prequential_cnet_log,
     random_dataset,
     random_net,
@@ -354,7 +354,7 @@ def test_criterion_08_mpe_exactness():
             for v in range(n_vars)
             if rng.random() < 0.35
         }
-        values, score = clt_mpe(tree, evidence)
+        values, score = mpe_of(clt_mpe, tree, evidence)
         x = enumerate_bits(n_vars)
         mask = np.ones(len(x), dtype=bool)
         for v, val in evidence.items():
@@ -379,8 +379,8 @@ def test_criterion_08_mpe_exactness():
             for v in range(n_vars)
             if rng.random() < 0.35
         }
-        values, score = cnet_mpe(net, evidence)
-        if score != cnet_log_density(net, values):
+        values, score = mpe_of(cnet_mpe, net, evidence)
+        if score != cnet_log_density_rows(net, values[None, :])[0]:
             inconsistent += 1
         x = enumerate_bits(n_vars)
         mask = np.ones(len(x), dtype=bool)

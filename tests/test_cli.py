@@ -189,7 +189,14 @@ def test_sample_from_mixture(tmp_path, train_csv):
         == 0
     )
     out = tmp_path / "s.csv"
+    again = tmp_path / "again.csv"
+    other = tmp_path / "other.csv"
     assert main(["sample", str(mix), "--n", "25", "--out", str(out)]) == 0
+    assert main(["sample", str(mix), "--n", "25", "--out", str(again)]) == 0
+    argv = ["sample", str(mix), "--n", "25", "--seed", "1", "--out", str(other)]
+    assert main(argv) == 0
+    assert out.read_bytes() == again.read_bytes()
+    assert out.read_bytes() != other.read_bytes()
     from cnetlearn import load_csv
 
     drawn = load_csv(str(out))
@@ -233,6 +240,24 @@ def test_mpe_respects_partial_evidence(tmp_path, train_csv):
     assert set(first[:6]) <= {"0", "1"}
     # score of the unconstrained completion is at least the constrained one
     assert float(lines[1].split(",")[6]) >= float(first[6])
+
+
+def test_mpe_keeps_impossible_evidence(tmp_path):
+    # x0 is never 1 in the data, so with beta 0 the evidence x0 = 1 has
+    # probability 0: the completion keeps it and scores -inf
+    rows = np.random.default_rng(701).integers(0, 2, size=(200, 4))
+    rows[:, 0] = 0
+    train = tmp_path / "train.csv"
+    _write_csv(train, rows)
+    model = tmp_path / "model.json"
+    argv = ["learn", str(train), "--score", "bic", "--beta", "0", "--out", str(model)]
+    assert main(argv) == 0
+    ev = tmp_path / "ev.csv"
+    ev.write_text("1,?,?,?\n")
+    out = tmp_path / "mpe.csv"
+    assert main(["mpe", str(model), str(ev), "--out", str(out)]) == 0
+    cells = out.read_text().strip().split(",")
+    assert cells[0] == "1" and cells[4] == "-inf"
 
 
 def test_mpe_bad_evidence_cell(tmp_path, train_csv, capsys):

@@ -23,6 +23,7 @@ from cnetlearn import (
 from helpers import (
     all_spanning_trees,
     enumerate_bits,
+    mpe_of,
     pair_counts,
     prequential_counts_log,
     random_dataset,
@@ -357,8 +358,7 @@ def test_clt_sample_deterministic_cpts():
         [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])],
     )
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert np.array_equal(clt_sample(t, rng), [0, 0])
+    assert np.array_equal(clt_sample(t, 20, rng), np.zeros((20, 2)))
 
 
 def test_clt_sample_mean_concentration():
@@ -366,16 +366,15 @@ def test_clt_sample_mean_concentration():
         np.array([0]), np.array([-1]), np.array([0]), [np.array([[0.5, 0.5]])]
     )
     rng = np.random.default_rng(123)
-    draws = np.array([clt_sample(t, rng)[0] for _ in range(10000)])
+    draws = clt_sample(t, 10000, rng)[:, 0]
     assert abs(draws.mean() - 0.5) <= 0.02
 
 
 def test_clt_sample_seed_reproducible():
     t = random_tree(np.random.default_rng(5), range(6))
-    a = [clt_sample(t, np.random.default_rng(99)) for _ in range(3)]
-    b = [clt_sample(t, np.random.default_rng(99)) for _ in range(3)]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    a = clt_sample(t, 3, np.random.default_rng(99))
+    b = clt_sample(t, 3, np.random.default_rng(99))
+    assert a.shape == (3, 6) and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def test_clt_mpe_full_and_empty_evidence():
     t = random_tree(rng, range(5))
     # full evidence echoes itself with its exact density
     ev = {i: int(rng.integers(0, 2)) for i in range(5)}
-    values, score = clt_mpe(t, ev)
+    values, score = mpe_of(clt_mpe, t, ev)
     assert all(values[i] == ev[i] for i in range(5))
     assert score == float(clt_log_density_rows(t, values[None, :])[0])
     # deterministic CPTs: the support point scores 0
@@ -410,7 +409,7 @@ def test_clt_mpe_full_and_empty_evidence():
         np.array([0, 1]),
         [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])],
     )
-    values, score = clt_mpe(det, {})
+    values, score = mpe_of(clt_mpe, det, {})
     assert np.array_equal(values, [1, 1]) and score == 0.0
 
 
@@ -424,7 +423,7 @@ def test_clt_mpe_matches_exhaustive():
             for i in range(n_vars)
             if rng.random() < 0.35
         }
-        values, score = clt_mpe(t, evidence)
+        values, score = mpe_of(clt_mpe, t, evidence)
         x, scores, k = _exhaustive_mpe(t, evidence)
         assert abs(score - scores[k]) <= 1e-12, case
         ties = np.flatnonzero(scores >= scores[k] - 1e-12)
@@ -441,7 +440,7 @@ def test_clt_mpe_tie_breaks_toward_zero():
         np.array([0, 1]),
         [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
     )
-    values, score = clt_mpe(t, {})
+    values, score = mpe_of(clt_mpe, t, {})
     assert np.array_equal(values, [0, 0])
     assert math.isclose(score, 2 * math.log(0.5), rel_tol=1e-14)
 
@@ -449,16 +448,31 @@ def test_clt_mpe_tie_breaks_toward_zero():
 def test_clt_mpe_unknown_evidence_variable():
     t = random_tree(np.random.default_rng(0), [0, 1])
     with pytest.raises(DatasetError):
-        clt_mpe(t, {7: 1})
+        clt_mpe(t, np.array([[1, -1, 0]]))  # no scope variable for column 2
+    with pytest.raises(DatasetError):
+        clt_mpe(t, np.array([[2, -1]]))
 
 
 def test_clt_mpe_8var_3evidence_example():
     rng = np.random.default_rng(321)
     t = random_tree(rng, range(8))
     evidence = {1: 1, 4: 0, 6: 1}
-    values, score = clt_mpe(t, evidence)
+    values, score = mpe_of(clt_mpe, t, evidence)
     x, scores, k = _exhaustive_mpe(t, evidence)
     assert abs(score - scores[k]) <= 1e-12
+
+
+def test_clt_mpe_keeps_impossible_evidence():
+    # x0 = 1 has probability 0: the completion keeps it and scores -inf
+    t = ChowLiuTree(
+        np.array([0, 1]),
+        np.array([-1, 0]),
+        np.array([0, 1]),
+        [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+    )
+    values, scores = clt_mpe(t, np.array([[1, -1], [-1, -1]]))
+    assert np.array_equal(values, [[1, 0], [0, 0]])
+    assert scores[0] == -math.inf and scores[1] == math.log(0.5)
 
 
 # ---------------------------------------------------------------------------

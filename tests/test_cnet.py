@@ -23,7 +23,6 @@ from cnetlearn import (
     bd_sum_node,
     clt_bd_score,
     clt_log_density_rows,
-    cnet_log_density,
     cnet_log_density_rows,
     cnet_mpe,
     cnet_sample,
@@ -37,10 +36,15 @@ from cnetlearn import (
     structure_param_count,
 )
 
+from cnetlearn.cnet import walk
+
 from helpers import (
     count_decisions,
     enumerate_bits,
+    evidence_matrix,
+    mpe_of,
     random_dataset,
+    random_net,
     regime_samples,
     routed_decision_counts,
     switch_dataset_16,
@@ -303,9 +307,9 @@ def test_density_input_validation():
     d = switch_dataset_16()
     net = learn_cnet(d, LearnerConfig())
     with pytest.raises(DatasetError):
-        cnet_log_density(net, np.array([0, 1]))
+        cnet_log_density_rows(net, np.array([[0, 1]]))
     with pytest.raises(DatasetError):
-        cnet_log_density(net, np.array([0, 1, 2]))
+        cnet_log_density_rows(net, np.array([[0, 1, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +318,10 @@ def test_density_input_validation():
 def test_sample_reproducible_and_in_domain():
     d = _two_tree_regime(np.random.default_rng(7), 512)
     net = learn_cnet(d, LearnerConfig())
-    a = [cnet_sample(net, np.random.default_rng(5)) for _ in range(4)]
-    b = [cnet_sample(net, np.random.default_rng(5)) for _ in range(4)]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-        assert x.shape == (5,) and set(np.unique(x)) <= {0, 1}
+    a = cnet_sample(net, 4, np.random.default_rng(5))
+    b = cnet_sample(net, 4, np.random.default_rng(5))
+    assert np.array_equal(a, b)
+    assert a.shape == (4, 5) and set(np.unique(a)) <= {0, 1}
 
 
 def test_sample_frequencies_match_density():
@@ -328,10 +331,8 @@ def test_sample_frequencies_match_density():
     net = learn_cnet(d, LearnerConfig())
     rng = np.random.default_rng(11)
     n = 20000
-    counts = np.zeros(8)
-    for _ in range(n):
-        x = cnet_sample(net, rng)
-        counts[int(x[0]) * 4 + int(x[1]) * 2 + int(x[2])] += 1
+    x = cnet_sample(net, n, rng)
+    counts = np.bincount(x @ np.array([4, 2, 1]), minlength=8)
     probs = np.exp(cnet_log_density_rows(net, enumerate_bits(3)))
     tv = 0.5 * np.abs(counts / n - probs).sum()
     assert tv < 0.05
@@ -349,9 +350,9 @@ def test_mpe_self_consistent_and_bounded():
         evidence = {
             v: int(rng.integers(0, 2)) for v in range(n_vars) if rng.random() < 0.4
         }
-        values, score = cnet_mpe(net, evidence)
+        values, score = mpe_of(cnet_mpe, net, evidence)
         # exact self-consistency
-        assert score == cnet_log_density(net, values)
+        assert score == cnet_log_density_rows(net, values[None, :])[0]
         for v, val in evidence.items():
             assert values[v] == val
         # never exceeds the exhaustive constrained maximum
@@ -377,7 +378,7 @@ def test_mpe_exact_when_decisions_observed():
     rng = np.random.default_rng(10)
     for _ in range(10):
         evidence = {v: int(rng.integers(0, 2)) for v in decision_vars}
-        values, score = cnet_mpe(net, evidence)
+        values, score = mpe_of(cnet_mpe, net, evidence)
         x = enumerate_bits(5)
         mask = np.ones(len(x), dtype=bool)
         for v, val in evidence.items():
@@ -390,18 +391,18 @@ def test_mpe_full_evidence_echoes():
     d = switch_dataset_16()
     net = learn_cnet(d, LearnerConfig())
     ev = {0: 1, 1: 0, 2: 1}
-    values, score = cnet_mpe(net, ev)
+    values, score = mpe_of(cnet_mpe, net, ev)
     assert np.array_equal(values, [1, 0, 1])
-    assert score == cnet_log_density(net, np.array([1, 0, 1]))
+    assert score == cnet_log_density_rows(net, np.array([[1, 0, 1]]))[0]
 
 
 def test_mpe_evidence_validation():
     d = switch_dataset_16()
     net = learn_cnet(d, LearnerConfig())
     with pytest.raises(DatasetError):
-        cnet_mpe(net, {9: 1})
+        cnet_mpe(net, np.full((1, 4), -1))  # no scope variable for column 3
     with pytest.raises(DatasetError):
-        cnet_mpe(net, {0: 2})
+        cnet_mpe(net, np.array([[2, -1, -1]]))
 
 
 def test_mpe_single_leaf_reduces_to_tree_mpe():
@@ -412,10 +413,45 @@ def test_mpe_single_leaf_reduces_to_tree_mpe():
         from cnetlearn import clt_mpe
 
         ev = {1: 1}
-        v1, s1 = cnet_mpe(net, ev)
-        v2, s2 = clt_mpe(net.root.tree, ev)
+        v1, s1 = mpe_of(cnet_mpe, net, ev)
+        v2, s2 = mpe_of(clt_mpe, net.root.tree, ev)
         assert np.array_equal(v1, v2)
         assert math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_mpe_keeps_impossible_evidence():
+    # x0 = 1 has probability 0 in both leaves: the completion keeps it
+    # and scores -inf
+    tree = ChowLiuTree(
+        np.array([0, 1]),
+        np.array([-1, 0]),
+        np.array([0, 1]),
+        [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+    )
+    root = DecisionNode(2, np.array([0.5, 0.5]), [Leaf(tree), Leaf(tree)])
+    net = CutsetNetwork(root, np.arange(3))
+    net.validate()
+    ev = evidence_matrix([{0: 1}, {0: 1, 2: 1}, {}], net.variable_ids)
+    values, scores = cnet_mpe(net, ev)
+    assert np.array_equal(values, [[1, 0, 0], [1, 0, 1], [0, 0, 0]])
+    assert scores[0] == scores[1] == -math.inf
+    assert scores[2] == pytest.approx(2 * math.log(0.5))
+
+
+def test_walk_routes_children_after_the_caller_handles_the_node():
+    # the samplers and MPE write a node's branch values in the loop body
+    # and route its rows on them
+    net = random_net(np.random.default_rng(3), range(6), 5)
+    assert count_decisions(net) > 0
+    handled = set()
+
+    def route(node, item, k):
+        assert id(node) in handled
+        return item
+
+    for node, _ in walk(net.root, 0, route):
+        handled.add(id(node))
+    assert len(handled) == 2 * count_decisions(net) + 1
 
 
 def test_learn_uses_regime_structure_for_better_fit():
@@ -493,7 +529,7 @@ def test_chain_deeper_than_recursion_limit():
         want = depth * math.log(0.5) + _chain_leaf_log_density(x[r, depth:])
         assert math.isclose(got[r], want, rel_tol=1e-12)
 
-    values, score = cnet_mpe(net, {v: 1 for v in range(CHAIN)})
+    values, score = mpe_of(cnet_mpe, net, {v: 1 for v in range(CHAIN)})
     assert np.array_equal(values, np.ones(CHAIN + 1))
     assert math.isclose(score, CHAIN * math.log(0.5) + math.log(0.7), rel_tol=1e-12)
 

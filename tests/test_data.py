@@ -1,7 +1,12 @@
 """Dataset container, CSV round trips, and restriction."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnetlearn import (
     DatasetError,
@@ -11,7 +16,9 @@ from cnetlearn import (
     save_csv,
 )
 
-from helpers import unit_dataset
+from cnetlearn.data import _read_cells
+
+from helpers import ref_read_cells, unit_dataset
 
 
 def test_load_csv_basic(tmp_path):
@@ -50,6 +57,52 @@ def test_load_csv_empty_file(tmp_path):
     p.write_text("")
     with pytest.raises(DatasetError, match="empty"):
         load_csv(p)
+
+
+@st.composite
+def csv_texts(draw):
+    """A matrix of 0, 1 and ? cells with whitespace around them and
+    blank lines between rows; some texts get a bad cell or a ragged row,
+    or two of them."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    cell = st.sampled_from(["0", "1", "?"])
+    rows = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
+    bad = st.sampled_from(["2", "", "0 1", "01", "011", "1?", "x", "\xe9"])
+    for fault in draw(st.lists(st.sampled_from(["cell", "short", "long"]), max_size=2)):
+        if not rows:
+            break
+        r = draw(st.integers(0, n_rows - 1))
+        if fault == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(bad)
+        elif fault == "short" and len(rows[r]) > 1:
+            rows[r] = rows[r][:-1]
+        else:
+            rows[r] = rows[r] + [draw(cell)]
+    pad = st.sampled_from(["", "", " ", "\t", "\xa0"])
+    lines = [",".join(draw(pad) + c + draw(pad) for c in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(pad))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.sampled_from([None, "?"]))
+def test_read_cells_matches_token_parser(text, free):
+    # the vectorized reader against the token-by-token parser: the same
+    # matrix, or the same error for the same line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = ref_read_cells(path, free)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as got:
+                _read_cells(path, free)
+            assert str(got.value) == str(exc)
+        else:
+            got = _read_cells(path, free)
+            assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def test_save_csv_round_trip(tmp_path):

@@ -1,0 +1,130 @@
+"""Differential tests: the batched MPE queries against the per-row
+references in helpers.py, which answer one evidence dict at a time.
+
+Values and scores must agree exactly: the batched passes keep the
+references' float operations and tie rules.  CPT entries and branch
+weights lie in (0, 1), where no evidence is impossible; the -inf cases,
+where the batched pass keeps evidence the references overrode, have
+their own tests.  Half the models draw their probabilities from three
+values only, so that tied scores, and with them the tie rules, are
+common.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cnetlearn import ChowLiuTree, CutsetNetwork, Leaf, Mixture, clt_mpe, cnet_mpe
+from cnetlearn.cli import _model_mpe
+from cnetlearn.cnet import walk
+
+from helpers import (
+    evidence_dict,
+    random_net,
+    random_tree,
+    ref_clt_mpe,
+    ref_cnet_mpe,
+    ref_model_mpe,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _scope(rng, n_vars: int) -> np.ndarray:
+    return np.sort(rng.choice(100, size=n_vars, replace=False))
+
+
+def _rows(rng, n: int) -> np.ndarray:
+    p1 = rng.choice([0.25, 0.5, 0.75], size=n)
+    return np.stack([1.0 - p1, p1], axis=1)
+
+
+def _coarsen(rng, tree_or_nets) -> None:
+    """Redraw every CPT row and branch weight pair with P(1) in
+    {1/4, 1/2, 3/4}."""
+    if isinstance(tree_or_nets, ChowLiuTree):
+        tree_or_nets.cpt = [_rows(rng, len(c)) for c in tree_or_nets.cpt]
+        return
+    for net in tree_or_nets:
+        for node, _ in walk(net.root):
+            if node.kind == "leaf":
+                _coarsen(rng, node.tree)
+            else:
+                node.weights = _rows(rng, 1)[0]
+
+
+def _cut_vars(nets) -> list:
+    nodes = [node for net in nets for node, _ in walk(net.root)]
+    return sorted({int(node.var) for node in nodes if node.kind == "decision"})
+
+
+def _evidence(rng, ids, cut_vars, n_mixed: int = 8) -> np.ndarray:
+    """Rows all free, all observed, observing every cut variable and
+    nothing else, then rows that observe each cell with probability 1/2."""
+    d = len(ids)
+    on_cuts = np.full(d, -1)
+    cols = np.searchsorted(ids, cut_vars)
+    on_cuts[cols] = rng.integers(0, 2, size=len(cols))
+    mixed = np.where(
+        rng.random((n_mixed, d)) < 0.5, rng.integers(0, 2, size=(n_mixed, d)), -1
+    )
+    rows = [np.full(d, -1), rng.integers(0, 2, size=d), on_cuts, *mixed]
+    return np.array(rows, dtype=np.int8)
+
+
+def _assert_matches(batched, reference, ids, ev) -> None:
+    values, scores = batched
+    assert values.shape == ev.shape and scores.shape == (len(ev),)
+    for r, row in enumerate(ev):
+        want_values, want_score = reference(evidence_dict(row, ids))
+        assert np.array_equal(values[r], want_values), r
+        assert scores[r] == want_score, r
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_tree_mpe_equals_reference(n_vars, coarse, seed):
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    tree = random_tree(rng, ids)
+    if coarse:
+        _coarsen(rng, tree)
+    ev = _evidence(rng, ids, [])
+    _assert_matches(clt_mpe(tree, ev), lambda e: ref_clt_mpe(tree, e), ids, ev)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(0, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_net_mpe_equals_reference(n_vars, n_decisions, coarse, seed):
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    net = random_net(rng, ids, n_decisions)
+    if coarse:
+        _coarsen(rng, [net])
+    ev = _evidence(rng, ids, _cut_vars([net]))
+    _assert_matches(cnet_mpe(net, ev), lambda e: ref_cnet_mpe(net, e), ids, ev)
+
+
+@SETTINGS
+@given(st.integers(2, 7), st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_mixture_mpe_equals_reference(n_vars, n_components, coarse, seed):
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    comps = [random_net(rng, ids, 3) for _ in range(n_components)]
+    if coarse:
+        _coarsen(rng, comps)
+    m = Mixture(comps, rng.dirichlet(np.ones(n_components)))
+    ev = _evidence(rng, ids, _cut_vars(comps))
+    _assert_matches(_model_mpe(m, ev), lambda e: ref_model_mpe(m, e), ids, ev)
+
+
+def test_mixture_mpe_keeps_the_first_best_completion():
+    # mirrored components: their completions 0 and 1 tie under the mixture
+    def net(p1):
+        zero = np.array([0])
+        tree = ChowLiuTree(zero, np.array([-1]), zero, [np.array([[1 - p1, p1]])])
+        return CutsetNetwork(Leaf(tree), np.array([0]))
+
+    m = Mixture([net(0.25), net(0.75)], [0.5, 0.5])
+    values, scores = _model_mpe(m, np.array([[-1]]))
+    assert values.tolist() == [[0]] and scores[0] == ref_model_mpe(m, {})[1]
