@@ -7,7 +7,9 @@ per (variable, parent-value) pair, one shared sum node encoding that
 CPT row.  Sharing those messages keeps the circuit's free-parameter
 count identical to the structure's parameter count.  Indicators are
 never shared: every use is a fresh node, and no merging of structurally
-identical sub-circuits is attempted.
+identical sub-circuits is attempted.  A mixture compiles to one sum
+over its components' circuits; that root sum is in general not
+deterministic, while every other node keeps its component's properties.
 
 The checks below certify the three properties the models promise by
 construction: smoothness (sum inputs cover the same scope),
@@ -24,6 +26,7 @@ import numpy as np
 
 from .cnet import walk
 from .data import DatasetError, _check_cells
+from .mixture import Mixture
 from .numerics import log_sum_exp_rows
 
 __all__ = [
@@ -68,11 +71,13 @@ class IndicatorLeaf:
 @dataclass(eq=False)
 class Circuit:
     """Rooted circuit DAG with nodes in topological order (inputs before
-    users) and a scope per node."""
+    users), a scope per node, and per position the nodes whose last user
+    sits there."""
 
     root: object
     nodes: list
     scopes: dict  # id(node) -> frozenset of variable ids
+    released: list  # released[i]: ids of the nodes last used by nodes[i]
 
     def scope(self, node) -> frozenset:
         return self.scopes[id(node)]
@@ -105,7 +110,8 @@ def make_circuit(root) -> Circuit:
                 stack.append((child, False))
 
     scopes = {}
-    for node in nodes:
+    last_user = {}  # id(node) -> position of its last user
+    for i, node in enumerate(nodes):
         if node.kind == "indicator":
             if node.value not in (0, 1):
                 raise ValueError("indicator value must be 0 or 1")
@@ -124,19 +130,31 @@ def make_circuit(root) -> Circuit:
         scope = frozenset()
         for child in node.inputs:
             scope = scope | scopes[id(child)]
+            last_user[id(child)] = i
         scopes[id(node)] = scope
-    return Circuit(root, nodes, scopes)
+    released = [[] for _ in nodes]
+    for key, i in last_user.items():
+        released[i].append(key)
+    return Circuit(root, nodes, scopes, released)
 
 
-def compile_cnet(net) -> Circuit:
-    """Translate a cutset network into an equivalent circuit.
+def compile_cnet(model) -> Circuit:
+    """Translate a cutset network, or a mixture of them, into an
+    equivalent circuit.
 
     Every decision node becomes a two-way gated sum.  Inside a Chow-Liu
     leaf the sub-circuit for (variable v, parent value u) is built once
     and shared by every product that needs it, so each CPT row appears
-    as exactly one sum node.
+    as exactly one sum node.  A mixture becomes one sum over its
+    components' circuits, weighted by the mixture weights.
     """
+    if isinstance(model, Mixture):
+        roots = [_cnet_root(c) for c in model.components]
+        return make_circuit(SumNode(roots, model.mix_weights.copy()))
+    return make_circuit(_cnet_root(model))
 
+
+def _cnet_root(net):
     def tree_circuit(tree):
         kids = tree.children()
         msg = {}  # (local var, parent value) -> shared SumNode
@@ -166,61 +184,55 @@ def compile_cnet(net) -> Circuit:
         done[id(node)] = SumNode(
             branches, np.asarray(node.weights, dtype=np.float64).copy()
         )
-
-    return make_circuit(done[id(net.root)])
-
-
-def _column_map(circuit: Circuit, variable_ids) -> dict:
-    if variable_ids is None:
-        variable_ids = sorted(circuit.scope(circuit.root))
-    col = {int(v): i for i, v in enumerate(variable_ids)}
-    missing = circuit.scope(circuit.root) - col.keys()
-    if missing:
-        raise DatasetError(f"assignment is missing variables {sorted(missing)}")
-    return col
+    return done[id(net.root)]
 
 
 _CHUNK = 4096
 
 
-def _log_forward(circuit: Circuit, chunk: np.ndarray, col: dict) -> dict:
-    """Log-domain value vector for every node, on one row chunk."""
+def _log_forward(circuit: Circuit, chunk: np.ndarray):
+    """One pass over `circuit` on a row chunk whose columns follow the
+    ascending root scope.  Yields, in topological order, (node, its
+    inputs' log values, its log value); a value is dropped as soon as
+    its last user has been yielded, so only live values are held."""
+    col = {v: i for i, v in enumerate(sorted(circuit.scope(circuit.root)))}
     vals = {}
-    for node in circuit.nodes:
+    for node, released in zip(circuit.nodes, circuit.released):
         if node.kind == "indicator":
+            ins = []
             ok = chunk[:, col[int(node.var)]] == node.value
             v = np.where(ok, 0.0, -np.inf)
         elif node.kind == "product":
-            v = vals[id(node.inputs[0])].copy()
-            for child in node.inputs[1:]:
-                v = v + vals[id(child)]
+            ins = [vals[id(c)] for c in node.inputs]
+            v = ins[0].copy()
+            for child in ins[1:]:
+                v = v + child
         else:
+            ins = [vals[id(c)] for c in node.inputs]
             with np.errstate(divide="ignore"):
                 logw = np.log(np.asarray(node.weights, dtype=np.float64))
-            stacked = np.stack(
-                [logw[k] + vals[id(c)] for k, c in enumerate(node.inputs)]
-            )
-            v = log_sum_exp_rows(stacked)
+            v = log_sum_exp_rows(np.stack([logw[k] + c for k, c in enumerate(ins)]))
         vals[id(node)] = v
-    return vals
+        yield node, ins, v
+        for key in released:
+            del vals[key]
 
 
-def circuit_log_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
+def circuit_log_values(circuit: Circuit, x) -> np.ndarray:
     """Root log value per row; computed entirely in the log domain.
-    Columns follow `variable_ids`, default ascending root scope."""
-    col = _column_map(circuit, variable_ids)
-    x = _check_cells(x, len(col))
+    Columns follow the ascending root scope."""
+    x = _check_cells(x, len(circuit.scope(circuit.root)))
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], _CHUNK):
-        chunk = x[lo : lo + _CHUNK]
-        vals = _log_forward(circuit, chunk, col)
-        out[lo : lo + len(chunk)] = vals[id(circuit.root)]
+        for _, _, v in _log_forward(circuit, x[lo : lo + _CHUNK]):
+            pass  # the root comes last
+        out[lo : lo + len(v)] = v
     return out
 
 
-def circuit_values(circuit: Circuit, x, variable_ids=None) -> np.ndarray:
+def circuit_values(circuit: Circuit, x) -> np.ndarray:
     """Root value (linear domain) per row: exp of circuit_log_values."""
-    return np.exp(circuit_log_values(circuit, x, variable_ids))
+    return np.exp(circuit_log_values(circuit, x))
 
 
 def check_smooth(circuit: Circuit) -> bool:
@@ -249,34 +261,29 @@ def _enumerate_assignments(n_vars: int) -> np.ndarray:
     return np.array(list(combos), dtype=np.int64).reshape(-1, n_vars)
 
 
-def check_deterministic(
-    circuit: Circuit, x=None, variable_ids=None, max_exhaustive_vars: int = 20
-) -> bool:
+_MAX_EXHAUSTIVE_VARS = 20
+
+
+def check_deterministic(circuit: Circuit, x=None) -> bool:
     """True iff on every checked complete assignment, at most one input
     of each sum node evaluates to a positive value (a log value above
     -inf, so tiny values that underflow a linear pass still count).
 
-    With `x` omitted, all assignments over the root scope are enumerated
-    (refused above `max_exhaustive_vars` variables; pass samples then).
+    Columns of `x` follow the ascending root scope.  With `x` omitted,
+    all assignments over the root scope are enumerated (refused above
+    20 variables; pass samples then).
     """
-    scope_vars = sorted(circuit.scope(circuit.root))
+    n_vars = len(circuit.scope(circuit.root))
     if x is None:
-        if len(scope_vars) > max_exhaustive_vars:
+        if n_vars > _MAX_EXHAUSTIVE_VARS:
             raise ValueError(
                 "scope too large for exhaustive check; pass sample assignments"
             )
-        x = _enumerate_assignments(len(scope_vars))
-        variable_ids = scope_vars
-    col = _column_map(circuit, variable_ids)
-    x = _check_cells(x, len(col))
-    sums = [n for n in circuit.nodes if n.kind == "sum"]
+        x = _enumerate_assignments(n_vars)
+    x = _check_cells(x, n_vars)
     for lo in range(0, x.shape[0], _CHUNK):
-        vals = _log_forward(circuit, x[lo : lo + _CHUNK], col)
-        for node in sums:
-            positive = np.zeros(len(vals[id(node)]), dtype=np.int64)
-            for child in node.inputs:
-                positive += vals[id(child)] > -np.inf
-            if np.any(positive > 1):
+        for node, ins, _ in _log_forward(circuit, x[lo : lo + _CHUNK]):
+            if node.kind == "sum" and np.any(sum(v > -np.inf for v in ins) > 1):
                 return False
     return True
 

@@ -33,7 +33,6 @@ from .mixture import (
     mean_log_likelihood,
     mixture_log_density_rows,
 )
-from .numerics import log_sum_exp_rows
 from .scores import BD, BIC, ScoreConfig, bd_cnet, bic_cnet, structure_param_count
 from .serialize import load_model, save_model
 
@@ -172,28 +171,12 @@ def _check_data_scope(model, d: WeightedDataset) -> None:
         )
 
 
-def _log_rows_via_circuit(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, Mixture):
-        ids = list(int(v) for v in model.variable_ids)
-        with np.errstate(divide="ignore"):
-            logw = np.log(model.mix_weights)
-        stacked = np.stack(
-            [
-                logw[k] + circuit_log_values(compile_cnet(c), x, ids)
-                for k, c in enumerate(model.components)
-            ]
-        )
-        return log_sum_exp_rows(stacked)
-    ids = list(int(v) for v in model.variable_ids)
-    return circuit_log_values(compile_cnet(model), x, ids)
-
-
 def cmd_eval(args) -> int:
     model, _, _ = load_model(args.model)
     d = load_csv(args.data)
     _check_data_scope(model, d)
     if args.via_circuit:
-        rows = _log_rows_via_circuit(model, d.samples)
+        rows = circuit_log_values(compile_cnet(model), d.samples)
     else:
         rows = log_density_rows(model, d.samples)
     total = float(d.weights @ rows)

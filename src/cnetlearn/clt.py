@@ -86,12 +86,13 @@ class ChowLiuTree:
 
 
 def _check_distributions(rows: np.ndarray) -> None:
-    """Raise DatasetError unless every row of the (k, 2) array lies in
+    """Raise DatasetError unless every row of the (k, m) array lies in
     [0, 1] and sums to 1 within 1e-12."""
     in_range = np.all((rows >= 0.0) & (rows <= 1.0))
     if not (in_range and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
         raise DatasetError(
-            "CPT rows and decision weights must lie in [0, 1] and sum to 1"
+            "CPT rows, decision weights and mixture weights must lie in "
+            "[0, 1] and sum to 1"
         )
 
 

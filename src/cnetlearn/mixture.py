@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clt import _check_distributions
 from .cnet import CutsetNetwork, LearnerConfig, cnet_log_density_rows, learn_cnet
 from .data import DatasetError, WeightedDataset
 from .numerics import log_sum_exp_rows
@@ -36,8 +37,7 @@ class Mixture:
         w = np.asarray(mix_weights, dtype=np.float64)
         if w.shape != (len(components),):
             raise ValueError("one mixture weight per component required")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must be a probability vector")
+        _check_distributions(w[None, :])
         ids = components[0].variable_ids
         for c in components[1:]:
             if not np.array_equal(c.variable_ids, ids):

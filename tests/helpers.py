@@ -24,11 +24,14 @@ from cnetlearn import (
     WeightedDataset,
     Mixture,
     bd_sum_node,
+    circuit_log_values,
     clt_bd_score,
     clt_log_density_rows,
     clt_log_likelihood,
     cnet_log_density_rows,
+    compile_cnet,
     learn_clt,
+    log_sum_exp_rows,
     mixture_log_density_rows,
     restrict,
     structure_param_count,
@@ -636,3 +639,18 @@ def ref_model_mpe(model, evidence: dict) -> tuple:
         if best is None or score > best[1]:
             best = (values, score)
     return best
+
+
+def ref_mixture_circuit_log_values(m: Mixture, x: np.ndarray) -> np.ndarray:
+    """Mixture log density through one circuit per component: each
+    component's root log value plus its log weight, then a log-sum-exp
+    over the components."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(m.mix_weights)
+    stacked = np.stack(
+        [
+            logw[k] + circuit_log_values(compile_cnet(c), x)
+            for k, c in enumerate(m.components)
+        ]
+    )
+    return log_sum_exp_rows(stacked)

@@ -2,6 +2,7 @@
 size accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cnetlearn import (
     BIC,
     IndicatorLeaf,
     LearnerConfig,
+    Mixture,
     ProductNode,
     ScoreConfig,
     SumNode,
@@ -26,6 +28,7 @@ from cnetlearn import (
     induced_path,
     learn_clt,
     learn_cnet,
+    learn_sem,
     make_circuit,
     structure_param_count,
 )
@@ -36,6 +39,8 @@ from helpers import (
     enumerate_bits,
     random_dataset,
     random_net,
+    ref_mixture_circuit_log_values,
+    regime_samples,
     routed_decision_counts,
     unit_dataset,
 )
@@ -88,6 +93,59 @@ def test_compiled_learned_nets_match_and_pass_checks():
         assert check_smooth(circuit)
         assert check_decomposable(circuit)
         assert check_deterministic(circuit)
+
+
+def _mixtures():
+    """Learned mixtures, random ones, and one with a zero-weight
+    component, each with its number of variables."""
+    rng = np.random.default_rng(511)
+    out = []
+    for kind in (BD, BIC):
+        d = unit_dataset(regime_samples(rng, 300, 6))
+        cfg = LearnerConfig(score=ScoreConfig(kind=kind))
+        out.append((learn_sem(d, 3, cfg, rng, max_iters=3), 6))
+    for _ in range(6):
+        n_vars = int(rng.integers(2, 8))
+        n_comp = int(rng.integers(1, 5))
+        comps = [
+            random_net(rng, np.arange(n_vars), int(rng.integers(0, 4)))
+            for _ in range(n_comp)
+        ]
+        out.append((Mixture(comps, rng.dirichlet(np.ones(n_comp))), n_vars))
+    comps = [random_net(rng, np.arange(5), 2) for _ in range(3)]
+    out.append((Mixture(comps, np.array([0.0, 0.25, 0.75])), 5))
+    return out
+
+
+def test_mixture_circuit_equals_per_component_circuits():
+    for m, n_vars in _mixtures():
+        x = enumerate_bits(n_vars)
+        got = circuit_log_values(compile_cnet(m), x)
+        assert np.array_equal(got, ref_mixture_circuit_log_values(m, x))
+
+
+def test_mixture_circuit_passes_checks_and_counts_params():
+    for m, _ in _mixtures():
+        circuit = compile_cnet(m)
+        assert circuit.root.kind == "sum"
+        assert len(circuit.root.inputs) == m.n_components
+        assert check_smooth(circuit)
+        assert check_decomposable(circuit)
+        params = sum(structure_param_count(c) for c in m.components)
+        assert circuit_size(circuit).n_params == params + m.n_components - 1
+
+
+def test_forward_pass_holds_only_live_values():
+    circuit = compile_cnet(random_net(np.random.default_rng(3), np.arange(30), 2))
+    x = np.random.default_rng(4).integers(0, 2, size=(4096, 30))
+    tracemalloc.start()
+    try:
+        circuit_log_values(circuit, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding every node's values at once would take nodes x rows x 8 B
+    assert peak < len(circuit.nodes) * len(x) * 8 / 4
 
 
 def test_compiled_circuit_normalizes():
@@ -175,7 +233,7 @@ def test_deterministic_check_refuses_huge_exhaustive_scope():
         check_deterministic(circuit)
     # sampled assignments still work
     x = rng.integers(0, 2, size=(64, 25))
-    assert check_deterministic(circuit, x=x, variable_ids=np.arange(25))
+    assert check_deterministic(circuit, x=x)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,19 @@ def test_eval_via_circuit_agrees(tmp_path, train_csv, capsys):
     assert abs(float(direct["mean_ll"]) - float(circ["mean_ll"])) <= 1e-10
 
 
+def test_eval_via_circuit_agrees_on_mixture(tmp_path, train_csv, capsys):
+    mix = tmp_path / "mix.json"
+    argv = ["learn-mixture", str(train_csv), "--components", "3", "--out", str(mix)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["eval", str(mix), str(train_csv)]) == 0
+    direct = _parse_kv(capsys.readouterr().out)
+    assert main(["eval", str(mix), str(train_csv), "--via-circuit"]) == 0
+    circ = _parse_kv(capsys.readouterr().out)
+    assert circ["via"] == "circuit"
+    assert abs(float(direct["mean_ll"]) - float(circ["mean_ll"])) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -412,6 +425,29 @@ def test_malformed_model_file_is_usage_error(
     assert main(["eval", str(model), str(train_csv)]) == 2
     err = capsys.readouterr().err
     assert str(model) in err and problem in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "mpe", "sample"])
+def test_nan_mixture_weight_is_usage_error(tmp_path, train_csv, capsys, command):
+    mix = tmp_path / "mix.json"
+    argv = ["learn-mixture", str(train_csv), "--components", "2", "--out", str(mix)]
+    assert main(argv) == 0
+    obj = json.loads(mix.read_text())
+    obj["mix_weights"][0] = float("nan")
+    mix.write_text(json.dumps(obj))  # the json module writes and reads NaN
+    evidence = tmp_path / "evidence.csv"
+    evidence.write_text("?,?,?,?,?,?\n")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "eval": ["eval", str(mix), str(train_csv)],
+        "mpe": ["mpe", str(mix), str(evidence), "--out", out],
+        "sample": ["sample", str(mix), "--n", "5", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(mix) in err and "sum to 1" in err
     assert "internal error" not in err
 
 

@@ -387,6 +387,22 @@ def test_mpe_exact_when_decisions_observed():
         assert abs(score - best) <= 1e-12
 
 
+def test_mpe_is_exact_on_any_evidence():
+    # the decision variables may be free: the max pass maximizes over
+    # both branches, so the score is the constrained maximum itself
+    rng = np.random.default_rng(81)
+    for _ in range(300):
+        n_vars = int(rng.integers(2, 9))
+        net = random_net(rng, np.arange(n_vars), int(rng.integers(0, 4)))
+        evidence = rng.integers(-1, 2, size=(6, n_vars)).astype(np.int8)
+        _, scores = cnet_mpe(net, evidence)
+        x = enumerate_bits(n_vars)
+        log_p = cnet_log_density_rows(net, x)
+        for ev, score in zip(evidence, scores):
+            consistent = np.all((ev < 0) | (x == ev), axis=1)
+            assert score == log_p[consistent].max()
+
+
 def test_mpe_full_evidence_echoes():
     d = switch_dataset_16()
     net = learn_cnet(d, LearnerConfig())
