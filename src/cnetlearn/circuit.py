@@ -19,7 +19,6 @@ decomposability (product inputs have disjoint scopes), and determinism
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,71 +70,78 @@ class IndicatorLeaf:
 @dataclass(eq=False)
 class Circuit:
     """Rooted circuit DAG with nodes in topological order (inputs before
-    users), a scope per node, and per position the nodes whose last user
-    sits there."""
+    users), a scope per node, per position the nodes whose last user
+    sits there, and each sum's log weights as they were when it was made."""
 
     root: object
     nodes: list
-    scopes: dict  # id(node) -> frozenset of variable ids
+    scopes: dict  # id(node) -> scope as a bitmask: bit b stands for variables[b]
+    variables: list  # variable ids in order of first use
     released: list  # released[i]: ids of the nodes last used by nodes[i]
+    log_weights: list  # log_weights[i]: log of nodes[i].weights for a sum, else None
 
     def scope(self, node) -> frozenset:
-        return self.scopes[id(node)]
+        bits = bin(self.scopes[id(node)])[:1:-1]  # least significant first
+        return frozenset(self.variables[b] for b, c in enumerate(bits) if c == "1")
 
 
 def make_circuit(root) -> Circuit:
     """Topologically order the DAG under `root` and validate local node
     well-formedness (arities, weight normalization, acyclicity)."""
     nodes = []
-    state = {}  # id -> 1 while on the DFS path, 2 when finished
+    scopes = {}  # id -> scope of each finished node
+    bits = {}  # variable id -> its bit in the scopes
+    last_user = {}  # id(node) -> position of its last user
+    sums = {}  # arity -> positions of the sums with that many inputs
+    on_path = set()
     stack = [(root, False)]
     while stack:
         node, done = stack.pop()
-        if done:
-            state[id(node)] = 2
-            nodes.append(node)
-            continue
-        st = state.get(id(node))
-        if st == 2:
-            continue
-        if st == 1:
-            raise ValueError("circuit graph has a cycle")
-        state[id(node)] = 1
-        stack.append((node, True))
-        for child in getattr(node, "inputs", ()):
-            cst = state.get(id(child))
-            if cst == 1:
+        key = id(node)
+        if not done:
+            if key in scopes:
+                continue
+            if key in on_path:
                 raise ValueError("circuit graph has a cycle")
-            if cst != 2:
-                stack.append((child, False))
-
-    scopes = {}
-    last_user = {}  # id(node) -> position of its last user
-    for i, node in enumerate(nodes):
+            on_path.add(key)
+            stack.append((node, True))
+            for child in getattr(node, "inputs", ()):
+                if id(child) not in scopes:
+                    stack.append((child, False))
+            continue
+        on_path.remove(key)
+        i = len(nodes)
+        nodes.append(node)
         if node.kind == "indicator":
             if node.value not in (0, 1):
                 raise ValueError("indicator value must be 0 or 1")
-            scopes[id(node)] = frozenset([int(node.var)])
+            scopes[key] = 1 << bits.setdefault(int(node.var), len(bits))
             continue
         if not node.inputs:
             raise ValueError("interior circuit nodes need at least one input")
         if node.kind == "sum":
-            w = np.asarray(node.weights, dtype=np.float64)
-            if w.shape != (len(node.inputs),):
+            if np.shape(node.weights) != (len(node.inputs),):
                 raise ValueError("sum node weight/input arity mismatch")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError("sum weights must be finite and nonnegative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("sum weights must be normalized")
-        scope = frozenset()
+            sums.setdefault(len(node.inputs), []).append(i)
+        scope = 0
         for child in node.inputs:
-            scope = scope | scopes[id(child)]
+            scope |= scopes[id(child)]
             last_user[id(child)] = i
-        scopes[id(node)] = scope
+        scopes[key] = scope
+    log_weights = [None] * len(nodes)
+    for at in sums.values():
+        w = np.array([nodes[i].weights for i in at], dtype=np.float64)
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError("sum weights must be finite and nonnegative")
+        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("sum weights must be normalized")
+        with np.errstate(divide="ignore"):
+            for i, row in zip(at, np.log(w)):
+                log_weights[i] = row
     released = [[] for _ in nodes]
     for key, i in last_user.items():
         released[i].append(key)
-    return Circuit(root, nodes, scopes, released)
+    return Circuit(root, nodes, scopes, list(bits), released, log_weights)
 
 
 def compile_cnet(model) -> Circuit:
@@ -187,33 +193,54 @@ def _cnet_root(net):
     return done[id(net.root)]
 
 
-_CHUNK = 4096
+def _chunk_rows(n_vars: int) -> int:
+    """At most 4,096, and few enough rows that a chunk's indicator table
+    (two float64 rows per variable) stays within 4 MiB."""
+    return max(1, min(4096, (4 << 20) // (16 * n_vars)))
 
 
 def _log_forward(circuit: Circuit, chunk: np.ndarray):
     """One pass over `circuit` on a row chunk whose columns follow the
-    ascending root scope.  Yields, in topological order, (node, its
-    inputs' log values, its log value); a value is dropped as soon as
-    its last user has been yielded, so only live values are held."""
+    ascending root scope.  Yields, in topological order, (node, its log
+    value, whether it is a sum with two or more inputs above -inf on
+    some row); a value is dropped as soon as its last user has been
+    yielded, so only live values are held.
+
+    Indicators are row views of one table[value, column].  Where a sum
+    has at most one live input, log-sum-exp adds log(1.0) = 0.0 to the
+    maximum, so the maximum alone is its value.  A sum with two live
+    inputs on some row, such as a mixture's root, runs log_sum_exp_rows
+    on all its rows."""
     col = {v: i for i, v in enumerate(sorted(circuit.scope(circuit.root)))}
+    cells = np.ascontiguousarray(chunk.T)
+    table = np.where(cells == np.arange(2)[:, None, None], 0.0, -np.inf)
     vals = {}
-    for node, released in zip(circuit.nodes, circuit.released):
+    for node, logw, released in zip(
+        circuit.nodes, circuit.log_weights, circuit.released
+    ):
+        multi = False
         if node.kind == "indicator":
-            ins = []
-            ok = chunk[:, col[int(node.var)]] == node.value
-            v = np.where(ok, 0.0, -np.inf)
+            v = table[int(node.value), col[node.var]]
         elif node.kind == "product":
             ins = [vals[id(c)] for c in node.inputs]
-            v = ins[0].copy()
-            for child in ins[1:]:
-                v = v + child
+            v = ins[0] if len(ins) == 1 else ins[0] + ins[1]
+            for x in ins[2:]:
+                v += x
         else:
             ins = [vals[id(c)] for c in node.inputs]
-            with np.errstate(divide="ignore"):
-                logw = np.log(np.asarray(node.weights, dtype=np.float64))
-            v = log_sum_exp_rows(np.stack([logw[k] + c for k, c in enumerate(ins)]))
+            terms = [w + x for w, x in zip(logw, ins)]
+            live = (ins[0] > -np.inf).astype(np.intp)
+            for x in ins[1:]:
+                live += x > -np.inf
+            multi = live.max() > 1
+            if multi:
+                v = log_sum_exp_rows(np.stack(terms))
+            else:
+                v = terms[0]
+                for t in terms[1:]:
+                    np.maximum(v, t, out=v)
         vals[id(node)] = v
-        yield node, ins, v
+        yield node, v, multi
         for key in released:
             del vals[key]
 
@@ -221,10 +248,12 @@ def _log_forward(circuit: Circuit, chunk: np.ndarray):
 def circuit_log_values(circuit: Circuit, x) -> np.ndarray:
     """Root log value per row; computed entirely in the log domain.
     Columns follow the ascending root scope."""
-    x = _check_cells(x, len(circuit.scope(circuit.root)))
+    n_vars = len(circuit.scope(circuit.root))
+    x = _check_cells(x, n_vars)
+    rows = _chunk_rows(n_vars)
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _CHUNK):
-        for _, _, v in _log_forward(circuit, x[lo : lo + _CHUNK]):
+    for lo in range(0, x.shape[0], rows):
+        for _, v, _ in _log_forward(circuit, x[lo : lo + rows]):
             pass  # the root comes last
         out[lo : lo + len(v)] = v
     return out
@@ -237,28 +266,35 @@ def circuit_values(circuit: Circuit, x) -> np.ndarray:
 
 def check_smooth(circuit: Circuit) -> bool:
     """True iff every sum's inputs all share the sum's scope."""
+    scopes = circuit.scopes
     for node in circuit.nodes:
         if node.kind == "sum":
-            scope = circuit.scope(node)
-            for child in node.inputs:
-                if circuit.scope(child) != scope:
-                    return False
+            scope = scopes[id(node)]
+            if any(scopes[id(c)] != scope for c in node.inputs):
+                return False
     return True
 
 
 def check_decomposable(circuit: Circuit) -> bool:
     """True iff every product's inputs have pairwise disjoint scopes."""
+    scopes = circuit.scopes
     for node in circuit.nodes:
         if node.kind == "product":
-            sizes = sum(len(circuit.scope(c)) for c in node.inputs)
-            if sizes != len(circuit.scope(node)):
+            sizes = sum(scopes[id(c)].bit_count() for c in node.inputs)
+            if sizes != scopes[id(node)].bit_count():
                 return False
     return True
 
 
-def _enumerate_assignments(n_vars: int) -> np.ndarray:
-    combos = itertools.product((0, 1), repeat=n_vars)
-    return np.array(list(combos), dtype=np.int64).reshape(-1, n_vars)
+def _assignment_chunks(n_vars: int, rows: int):
+    """Every assignment of `n_vars` binary variables, in itertools.product
+    order (first variable most significant), as uint8 chunks of `rows`
+    rows built from their row indices."""
+    shifts = np.arange(n_vars - 1, -1, -1)
+    total = 1 << n_vars
+    for lo in range(0, total, rows):
+        idx = np.arange(lo, min(lo + rows, total))
+        yield ((idx[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 _MAX_EXHAUSTIVE_VARS = 20
@@ -270,20 +306,23 @@ def check_deterministic(circuit: Circuit, x=None) -> bool:
     -inf, so tiny values that underflow a linear pass still count).
 
     Columns of `x` follow the ascending root scope.  With `x` omitted,
-    all assignments over the root scope are enumerated (refused above
-    20 variables; pass samples then).
+    all assignments over the root scope are enumerated a chunk at a time
+    (refused above 20 variables; pass samples then).
     """
     n_vars = len(circuit.scope(circuit.root))
+    rows = _chunk_rows(n_vars)
     if x is None:
         if n_vars > _MAX_EXHAUSTIVE_VARS:
             raise ValueError(
                 "scope too large for exhaustive check; pass sample assignments"
             )
-        x = _enumerate_assignments(n_vars)
-    x = _check_cells(x, n_vars)
-    for lo in range(0, x.shape[0], _CHUNK):
-        for node, ins, _ in _log_forward(circuit, x[lo : lo + _CHUNK]):
-            if node.kind == "sum" and np.any(sum(v > -np.inf for v in ins) > 1):
+        chunks = _assignment_chunks(n_vars, rows)
+    else:
+        x = _check_cells(x, n_vars)
+        chunks = (x[lo : lo + rows] for lo in range(0, x.shape[0], rows))
+    for chunk in chunks:
+        for _, _, multi in _log_forward(circuit, chunk):
+            if multi:
                 return False
     return True
 

@@ -654,3 +654,60 @@ def ref_mixture_circuit_log_values(m: Mixture, x: np.ndarray) -> np.ndarray:
         ]
     )
     return log_sum_exp_rows(stacked)
+
+
+# ---------------------------------------------------------------------------
+# circuit pass reference
+
+_REF_CHUNK = 4096
+
+
+def _ref_log_forward(circuit, chunk: np.ndarray):
+    """The circuit pass as it was before sums with one live input
+    skipped log-sum-exp: one np.where per indicator, log weights taken
+    per sum and chunk, a full log-sum-exp on every sum.  Yields (node,
+    its inputs' log values, its log value) in topological order."""
+    col = {v: i for i, v in enumerate(sorted(circuit.scope(circuit.root)))}
+    vals = {}
+    for node, released in zip(circuit.nodes, circuit.released):
+        if node.kind == "indicator":
+            ins = []
+            ok = chunk[:, col[int(node.var)]] == node.value
+            v = np.where(ok, 0.0, -np.inf)
+        elif node.kind == "product":
+            ins = [vals[id(c)] for c in node.inputs]
+            v = ins[0].copy()
+            for child in ins[1:]:
+                v = v + child
+        else:
+            ins = [vals[id(c)] for c in node.inputs]
+            with np.errstate(divide="ignore"):
+                logw = np.log(np.asarray(node.weights, dtype=np.float64))
+            v = log_sum_exp_rows(np.stack([logw[k] + c for k, c in enumerate(ins)]))
+        vals[id(node)] = v
+        yield node, ins, v
+        for key in released:
+            del vals[key]
+
+
+def ref_circuit_log_values(circuit, x) -> np.ndarray:
+    """Root log value per row by the reference pass."""
+    x = np.asarray(x)
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _REF_CHUNK):
+        for _, _, v in _ref_log_forward(circuit, x[lo : lo + _REF_CHUNK]):
+            pass
+        out[lo : lo + len(v)] = v
+    return out
+
+
+def ref_check_deterministic(circuit, x=None) -> bool:
+    """Determinism by the reference pass, recounting every sum's inputs
+    above -inf; with `x` omitted, on every assignment of the root scope."""
+    if x is None:
+        x = enumerate_bits(len(circuit.scope(circuit.root)))
+    for lo in range(0, x.shape[0], _REF_CHUNK):
+        for node, ins, _ in _ref_log_forward(circuit, x[lo : lo + _REF_CHUNK]):
+            if node.kind == "sum" and np.any(sum(v > -np.inf for v in ins) > 1):
+                return False
+    return True

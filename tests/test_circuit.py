@@ -1,11 +1,14 @@
 """Circuit compilation, evaluation, structural property checks, and the
 size accounting."""
 
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnetlearn import (
     BD,
@@ -32,6 +35,7 @@ from cnetlearn import (
     make_circuit,
     structure_param_count,
 )
+from cnetlearn.circuit import _assignment_chunks
 from cnetlearn.cnet import CutsetNetwork, Leaf
 
 from helpers import (
@@ -39,6 +43,8 @@ from helpers import (
     enumerate_bits,
     random_dataset,
     random_net,
+    ref_check_deterministic,
+    ref_circuit_log_values,
     ref_mixture_circuit_log_values,
     regime_samples,
     routed_decision_counts,
@@ -190,7 +196,7 @@ def test_sum_over_same_variable_not_deterministic():
     assert not check_deterministic(circuit)
 
 
-def test_deterministic_check_sees_underflowing_inputs():
+def _underflow_circuit():
     # on x = (1, 1) the left product is 1e-400, which a linear-domain
     # pass rounds to 0; in the log domain it is finite, so both inputs
     # of the root are positive there
@@ -206,7 +212,11 @@ def test_deterministic_check_sees_underflowing_inputs():
         ],
         np.array([0.5, 0.5]),
     )
-    circuit = make_circuit(root)
+    return make_circuit(root)
+
+
+def test_deterministic_check_sees_underflowing_inputs():
+    circuit = _underflow_circuit()
     assert check_smooth(circuit) and check_decomposable(circuit)
     assert not check_deterministic(circuit)
 
@@ -236,6 +246,136 @@ def test_deterministic_check_refuses_huge_exhaustive_scope():
     assert check_deterministic(circuit, x=x)
 
 
+def test_exhaustive_assignments_stream_in_product_order():
+    for n_vars in range(1, 13):
+        for rows in (1, 5, 4096):
+            chunks = list(_assignment_chunks(n_vars, rows))
+            assert all(c.dtype == np.uint8 and len(c) <= rows for c in chunks)
+            assert np.array_equal(np.concatenate(chunks), enumerate_bits(n_vars))
+
+
+def test_exhaustive_check_holds_no_full_assignment_matrix():
+    circuit = compile_cnet(random_net(np.random.default_rng(512), np.arange(16), 2))
+    tracemalloc.start()
+    try:
+        assert check_deterministic(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole int64 matrix of 2^16 assignments
+    assert peak < (1 << 16) * 16 * 8
+
+
+# ---------------------------------------------------------------------------
+# forward pass against the reference pass
+
+def _assert_matches_reference(circuit):
+    """Bit-identical root values and the same determinism verdict as the
+    reference pass, on every assignment of the root scope."""
+    x = enumerate_bits(len(circuit.scope(circuit.root)))
+    got = circuit_log_values(circuit, x)
+    assert np.array_equal(got, ref_circuit_log_values(circuit, x))
+    assert check_deterministic(circuit) == ref_check_deterministic(circuit)
+
+
+def _random_dag(rng, n_vars):
+    """A circuit DAG over up to `n_vars` variables that need not be
+    smooth, decomposable or deterministic: sums and products of arity 1
+    to 9 over earlier nodes drawn with repeats, so inputs overlap, and
+    about a third of the sum weights zero."""
+    pool = [IndicatorLeaf(v, k) for v in range(n_vars) for k in (0, 1)]
+    for _ in range(int(rng.integers(1, 12))):
+        picks = [pool[j] for j in rng.integers(0, len(pool), size=rng.integers(1, 10))]
+        if rng.random() < 0.5:
+            pool.append(ProductNode(picks))
+            continue
+        w = rng.dirichlet(np.ones(len(picks)))
+        w[rng.random(len(picks)) < 0.3] = 0.0
+        if w.sum() == 0:
+            w[0] = 1.0
+        pool.append(SumNode(picks, w / w.sum()))
+    return pool[-1]
+
+
+def _random_mixture(rng, n_vars):
+    """Random components and weights, some of them zero."""
+    n_comp = int(rng.integers(1, 10))
+    comps = [
+        random_net(rng, np.arange(n_vars), int(rng.integers(0, 4)))
+        for _ in range(n_comp)
+    ]
+    w = rng.dirichlet(np.ones(n_comp))
+    w[rng.random(n_comp) < 0.2] = 0.0
+    if w.sum() == 0:
+        w[-1] = 1.0
+    return Mixture(comps, w / w.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["net", "mixture", "dag"]),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_forward_pass_matches_reference(kind, n_vars, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "net":
+        net = random_net(rng, np.arange(n_vars), int(rng.integers(0, 4)))
+        circuit = compile_cnet(net)
+    elif kind == "mixture":
+        circuit = compile_cnet(_random_mixture(rng, n_vars))
+    else:
+        circuit = make_circuit(_random_dag(rng, n_vars))
+    _assert_matches_reference(circuit)
+
+
+def test_forward_pass_matches_reference_on_fixed_circuits():
+    _assert_matches_reference(_underflow_circuit())
+    same_var = SumNode([IndicatorLeaf(0, 1), IndicatorLeaf(0, 1)], [0.5, 0.5])
+    _assert_matches_reference(make_circuit(same_var))
+    for m, _ in _mixtures():
+        _assert_matches_reference(compile_cnet(m))
+
+
+def test_scopes_hold_any_integer_variable_ids():
+    far = 10**12
+    root = SumNode(
+        [
+            ProductNode([IndicatorLeaf(-3, k), IndicatorLeaf(far, k)])
+            for k in (0, 1)
+        ],
+        np.array([0.25, 0.75]),
+    )
+    circuit = make_circuit(root)
+    assert circuit.scope(root) == frozenset({-3, far})
+    assert check_smooth(circuit) and check_decomposable(circuit)
+    assert check_deterministic(circuit)
+    _assert_matches_reference(circuit)
+
+
+def test_learned_sparse_circuit_matches_reference_and_keeps_its_dump():
+    # sparse planted regimes give many cuts, so nearly every sum is a
+    # decision or tree-CPT sum, as in the benchmark's basket-deep model
+    rng = np.random.default_rng(0)
+    p = np.where(rng.random((16, 14)) < 0.2, 0.85, 0.03)
+    z = rng.integers(0, 16, size=2000)
+    x = (rng.random((2000, 14)) < p[z]).astype(np.uint8)
+    net = learn_cnet(unit_dataset(x), LearnerConfig())
+    assert count_decisions(net) == 19
+    circuit = compile_cnet(net)
+    assert np.array_equal(
+        circuit_log_values(circuit, x), ref_circuit_log_values(circuit, x)
+    )
+    assert check_deterministic(circuit, x)
+    # the dump as compile_cnet and make_circuit wrote it before sums with
+    # one live input skipped log-sum-exp
+    digest = hashlib.sha256(dump_circuit(circuit).encode()).hexdigest()
+    assert (len(circuit.nodes), digest) == (
+        1835,
+        "5d6c0a466322ddc49e0bf19d74b5ee61873ce45ce150d2a7a7aeb2056452bc12",
+    )
+
+
 # ---------------------------------------------------------------------------
 # make_circuit validation
 
@@ -260,6 +400,26 @@ def test_make_circuit_rejects_arity_mismatch():
     )
     with pytest.raises(ValueError):
         make_circuit(root)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0], [0.6, 0.6], [[0.5], [0.5]]],
+)
+def test_make_circuit_rejects_bad_sum_weights_among_good_ones(bad):
+    # one bad sum among well-formed sums of the same arity
+    good = [
+        SumNode([IndicatorLeaf(v, 0), IndicatorLeaf(v, 1)], np.array([0.3, 0.7]))
+        for v in range(4)
+    ]
+    bad_sum = SumNode([IndicatorLeaf(4, 0), IndicatorLeaf(4, 1)], np.array(bad))
+    with pytest.raises(ValueError):
+        make_circuit(ProductNode(good[:2] + [bad_sum] + good[2:]))
+
+
+def test_make_circuit_rejects_empty_interior_node():
+    with pytest.raises(ValueError):
+        make_circuit(ProductNode([IndicatorLeaf(0, 1), ProductNode([])]))
 
 
 def test_make_circuit_rejects_bad_leaves():
