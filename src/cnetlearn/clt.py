@@ -104,54 +104,86 @@ def mutual_information(d: WeightedDataset, i: int, j: int) -> float:
         raise DatasetError("mutual information needs two distinct variables")
     if d.total_weight <= 0:
         raise DatasetError("mutual information of a zero-weight dataset")
-    return float(_mi_matrix(*d.gram_counts())[d.column(i), d.column(j)])
+    total, n1, n11 = d.gram_counts()
+    mi = _mi_matrix(np.array([total]), n1[None], n11[None])[0]
+    return float(mi[d.column(i), d.column(j)])
 
 
-def _mi_matrix(total: float, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
-    dvars = len(n1)
-    counts = np.empty((2, 2, dvars, dvars))
-    counts[1, 1] = n11
-    counts[1, 0] = n1[:, None] - n11
-    counts[0, 1] = n1[None, :] - n11
-    counts[0, 0] = total - n1[:, None] - n1[None, :] + n11
-    counts = np.clip(counts, 0.0, None)  # guard tiny negative rounding
-    p = counts / total
-    pi = np.stack([1.0 - n1 / total, n1 / total])  # pi[a, v]
-    mi = np.zeros((dvars, dvars))
+def _mi_matrix(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
+    """(m, d, d) mutual information of every pair of variables in each of
+    m datasets, from their Gram counts: total (m,), n1 (m, d) and n11
+    (m, d, d).  Zero for a zero-weight dataset.  The (a, b) cells of the
+    pair tables are formed and used one at a time, in place where that
+    keeps the bits, so the temporaries are a few stacks' size."""
+    live = total > 0
+    total = np.where(live, total, 1.0)[:, None, None]
+    pi1 = n1 / total[:, 0]
+    pi = (1.0 - pi1, pi1)  # pi[a][k, v]
+    n1i, n1j = n1[:, :, None], n1[:, None, :]
+    cells = {
+        (1, 1): lambda: n11,
+        (1, 0): lambda: n1i - n11,
+        (0, 1): lambda: n1j - n11,
+        (0, 0): lambda: total - n1i - n1j + n11,
+    }
+    mi = np.zeros(n11.shape)
     for a in range(2):
         for b in range(2):
-            pab = p[a, b]
-            denom = pi[a][:, None] * pi[b][None, :]
+            pab = np.clip(cells[a, b](), 0.0, None)  # guard tiny negative rounding
+            pab /= total
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = pab * (np.log(pab) - np.log(denom))
-            mi += np.where(pab > 0, term, 0.0)
-    np.fill_diagonal(mi, 0.0)
+                term = np.log(pab)
+                term -= np.log(pi[a][:, :, None] * pi[b][:, None, :])
+                term *= pab
+            term[pab == 0] = 0.0
+            mi += term
+    mi[~live] = 0.0
+    diag = np.arange(n11.shape[1])
+    mi[:, diag, diag] = 0.0
     return np.clip(mi, 0.0, None)
 
 
-def _max_spanning_tree(mi: np.ndarray) -> list:
-    """Kruskal on the complete graph; ties prefer the lexicographically
-    smaller (i, j) pair, so results are reproducible."""
-    dvars = mi.shape[0]
+def _max_spanning_trees(mi: np.ndarray) -> list:
+    """Maximum spanning tree of each matrix of an (m, d, d) stack, as its
+    edges (i, j), i < j, in the order Kruskal takes them: by MI
+    descending, ties to the lexicographically smaller pair.
+
+    That order ranks every edge apart, so each tree is unique, and Prim's
+    algorithm on the ranks builds it for the whole stack at once."""
+    m, dvars = mi.shape[:2]
     iu, ju = np.triu_indices(dvars, 1)
-    order = np.lexsort((ju, iu, -mi[iu, ju]))
-    parent = list(range(dvars))
+    # triu_indices lists the pairs in (i, j) order, so a stable sort
+    # breaks ties as Kruskal's lexsort((j, i, -mi)) did
+    by_weight = np.argsort(-mi[:, iu, ju], axis=1, kind="stable")
+    n_edges = len(iu)
+    rank = np.full((m, dvars, dvars), n_edges)
+    rank[np.arange(m)[:, None], iu[by_weight], ju[by_weight]] = np.arange(n_edges)
+    rank = np.minimum(rank, rank.transpose(0, 2, 1))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    rows = np.arange(m)
+    best = rank[:, 0].copy()  # the best rank joining each vertex to the tree
+    via = np.zeros((m, dvars), dtype=np.int64)  # that edge's tree end
+    free = np.ones((m, dvars), dtype=bool)
+    free[:, 0] = False
+    best[:, 0] = n_edges
+    edges = np.empty((m, max(dvars - 1, 0), 3), dtype=np.int64)  # rank, i, j
+    for k in range(dvars - 1):
+        v = best.argmin(axis=1)
+        u = via[rows, v]
+        edges[:, k] = np.stack([best[rows, v], np.minimum(u, v), np.maximum(u, v)], axis=1)
+        free[rows, v] = False
+        best[rows, v] = n_edges
+        closer = free & (rank[rows, v] < best)
+        best = np.where(closer, rank[rows, v], best)
+        via = np.where(closer, v[:, None], via)
+    edges = np.take_along_axis(edges, np.argsort(edges[:, :, :1], axis=1), axis=1)
+    return [[(i, j) for _, i, j in tree] for tree in edges.tolist()]
 
-    chosen = []
-    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-            if len(chosen) == dvars - 1:
-                break
-    return chosen
+
+def _max_spanning_tree(mi: np.ndarray) -> list:
+    """Kruskal's maximum spanning tree of one (d, d) MI matrix; see
+    _max_spanning_trees."""
+    return _max_spanning_trees(mi[None])[0]
 
 
 def _orient(dvars: int, edges: list):
@@ -160,23 +192,24 @@ def _orient(dvars: int, edges: list):
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    parents = np.full(dvars, -1, dtype=np.int64)
-    order = np.empty(dvars, dtype=np.int64)
-    order[0] = 0
-    seen = np.zeros(dvars, dtype=bool)
-    seen[0] = True
-    head = 0
-    filled = 1
-    while head < filled:
-        u = order[head]
-        head += 1
+    parents = [-1] * dvars
+    seen = [True] + [False] * (dvars - 1)
+    order = [0]
+    for u in order:  # breadth first: the loop reads what it appends
         for v in sorted(adj[u]):
             if not seen[v]:
                 seen[v] = True
                 parents[v] = u
-                order[filled] = v
-                filled += 1
-    return parents, order
+                order.append(v)
+    return np.array(parents, dtype=np.int64), np.array(order, dtype=np.int64)
+
+
+def _structures(grams: list) -> list:
+    """(parents, order) of the Chow-Liu tree of each of a stack of datasets
+    over the same number of variables, from their gram_counts()."""
+    total = np.array([g[0] for g in grams])
+    mi = _mi_matrix(total, np.stack([g[1] for g in grams]), np.stack([g[2] for g in grams]))
+    return [_orient(mi.shape[1], edges) for edges in _max_spanning_trees(mi)]
 
 
 def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> list:
@@ -196,23 +229,18 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
     Mutual information uses the raw weighted counts (no smoothing); only
     the CPTs are smoothed.  Ties in the spanning tree and the rooting are
     broken deterministically (lowest indices win), so identical data
-    always yields an identical tree.
+    always yields an identical tree.  This is the learner a cut evaluation
+    runs on a stack of children, with a stack of one.
     """
     if d.n_vars < 1:
         raise DatasetError("learn_clt needs at least one variable")
-    dvars = d.n_vars
-    if dvars == 1:
-        parents = np.array([-1], dtype=np.int64)
-        order = np.array([0], dtype=np.int64)
-    else:
-        if d.total_weight > 0:
-            mi = _mi_matrix(*d.gram_counts())
-        else:
-            mi = np.zeros((dvars, dvars))
-        edges = _max_spanning_tree(mi)
-        parents, order = _orient(dvars, edges)
-    cpts = _fit_cpts(d, parents, beta)
-    return ChowLiuTree(d.variable_ids.copy(), parents, order, cpts)
+    ((parents, order),) = _structures([d.gram_counts()])
+    return _fitted_tree(d, parents, order, beta)
+
+
+def _fitted_tree(d: WeightedDataset, parents, order, beta: float) -> ChowLiuTree:
+    """The tree of this structure over d's scope, its CPTs fit on d."""
+    return ChowLiuTree(d.variable_ids.copy(), parents, order, _fit_cpts(d, parents, beta))
 
 
 def _check_scope(t: ChowLiuTree, d: WeightedDataset) -> None:
@@ -266,19 +294,23 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_scope(t, d)
-    has_row = np.ones((t.n_vars, 2), dtype=bool)
-    has_row[t.parents < 0, 1] = False
-    rows = d.family_counts(t.parents)[has_row]  # one CPT row per family, by variable
+    return float(_bd_scores(d.family_counts(t.parents)[None], t.parents[None], alpha)[0])
+
+
+def _bd_scores(tables: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
+    """clt_bd_score of each of m trees over the same number of variables,
+    from their (m, d, 2, 2) family counts and (m, d) parents."""
+    has_row = np.ones(tables.shape[:3], dtype=bool)
+    has_row[:, :, 1] = parents >= 0
+    # one CPT row per family, by variable; every tree has 2d - 1
+    rows = tables[has_row].reshape(len(tables), -1, 2)
     half = alpha / 2
-    terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, 0] + rows[:, 1]))
-    terms += _lgamma(half + rows[:, 0]) - math.lgamma(half)
-    terms += _lgamma(half + rows[:, 1]) - math.lgamma(half)
+    terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, :, 0] + rows[:, :, 1]))
+    terms += _lgamma(half + rows[:, :, 0]) - math.lgamma(half)
+    terms += _lgamma(half + rows[:, :, 1]) - math.lgamma(half)
     # a sequential sum in this term order: whether a cut with a delta
     # near 0 is accepted can hinge on the last bit
-    score = 0.0
-    for term in terms.tolist():
-        score += term
-    return score
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def clt_sample(t: ChowLiuTree, n: int, rng: np.random.Generator) -> np.ndarray:

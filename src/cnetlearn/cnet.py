@@ -30,7 +30,7 @@ from .clt import (
     learn_clt,
 )
 from .data import DatasetError, WeightedDataset, _check_cells
-from .scores import BIC, CutCandidate, ScoreConfig, _leaf_score, evaluate_cut
+from .scores import BIC, CutCandidate, ScoreConfig, evaluate_cut
 
 __all__ = [
     "Leaf",
@@ -199,16 +199,12 @@ def select_best_cut(
     score: ScoreConfig,
 ) -> CutCandidate | None:
     """Best candidate cut of the leaf `leaf_tree` over `d_leaf`, or None
-    when no candidate improves the score."""
-    before = _leaf_score(leaf_tree, d_leaf, score)
-    best = None
-    for var in sorted(candidates):
-        cand = evaluate_cut(leaf_tree, d_leaf, var, score, leaf_score=before)
-        if best is None or cand.delta > best.delta:
-            best = cand
-    if best is None or best.delta <= 0:
+    when no candidate improves the score.  Ties go to the lowest
+    variable id."""
+    if not candidates:
         return None
-    return best
+    best = evaluate_cut(leaf_tree, d_leaf, sorted(candidates), score)
+    return best if best.delta > 0 else None
 
 
 def learn_cnet(

@@ -82,9 +82,7 @@ class WeightedDataset:
         with x_v = 1 and n11[u, v] the weight of rows with x_u = x_v = 1."""
         got = self._counts.get("gram")
         if got is None:
-            x = self.samples.astype(np.float64)
-            n11 = (x * self.weights[:, None]).T @ x
-            got = self._counts["gram"] = (self.total_weight, np.diag(n11).copy(), n11)
+            got = self._counts["gram"] = _gram(self.samples, self.weights)
         return got
 
     def family_counts(self, parents: np.ndarray) -> np.ndarray:
@@ -94,14 +92,21 @@ class WeightedDataset:
         key = parents.tobytes()
         table = self._counts.get(key)
         if table is None:
-            table = np.empty((self.n_vars, 2, 2))
-            for v, p in enumerate(parents.tolist()):
+            table = np.zeros((self.n_vars, 2, 2))  # a bincount of no rows is +0.0
+            for v, p in enumerate(parents.tolist() if self.n_rows else ()):
                 xv = self.samples[:, v]
                 code = xv if p < 0 else 2 * self.samples[:, p] + xv
                 table[v] = np.bincount(code, self.weights, minlength=4).reshape(2, 2)
             table.flags.writeable = False
             self._counts[key] = table
         return table
+
+    def _remember(self, gram: tuple, parents: np.ndarray, table: np.ndarray) -> None:
+        """Memoize counts of this dataset computed elsewhere from its rows,
+        bit for bit what gram_counts() and family_counts(parents) give."""
+        table.flags.writeable = False
+        self._counts["gram"] = gram
+        self._counts[parents.tobytes()] = table
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """Same samples, new per-row weights."""
@@ -199,10 +204,58 @@ def restrict(d: WeightedDataset, var: int, value: int) -> WeightedDataset:
     if value not in (0, 1):
         raise DatasetError(f"value must be 0 or 1, got {value}")
     pos = d.column(var)
-    mask = d.samples[:, pos] == value
-    keep = np.ones(d.n_vars, dtype=bool)
-    keep[pos] = False
+    mask, keep = _split(d, pos, value)
     return WeightedDataset(
         d.samples[mask][:, keep], d.weights[mask], d.variable_ids[keep]
     )
+
+
+def _split(d: WeightedDataset, pos: int, value: int) -> tuple:
+    """(rows, columns) masks of the part of `d` where column `pos` holds
+    `value`, without that column."""
+    keep = np.ones(d.n_vars, dtype=bool)
+    keep[pos] = False
+    return d.samples[:, pos] == value, keep
+
+
+def _gram(samples: np.ndarray, weights: np.ndarray) -> tuple:
+    """(total, n1, n11) of a sample matrix by one weighted Gram product;
+    see WeightedDataset.gram_counts.  The product's bits depend on the
+    layout of its inputs, so `x` is always in C order."""
+    x = np.ascontiguousarray(samples, dtype=np.float64)
+    n11 = (x * weights[:, None]).T @ x
+    return float(weights.sum()), np.diag(n11).copy(), n11
+
+
+def _split_gram(d: WeightedDataset, pos: int, value: int) -> tuple:
+    """gram_counts of restrict(d, the variable at `pos`, value), from a
+    copy of its rows that is dropped at once.  The product gets the inputs
+    that dataset would give it, so the counts are the same bits."""
+    mask, keep = _split(d, pos, value)
+    return _gram(d.samples[mask][:, keep], d.weights[mask])
+
+
+def _split_family_counts(d: WeightedDataset, pos: int, parents: np.ndarray) -> np.ndarray:
+    """(2, n_vars - 1, 2, 2) family counts of both parts of a split on
+    column `pos`, counted on d's own rows: out[c] equals
+    restrict(d, the variable at `pos`, c).family_counts(parents[c]).
+
+    One bincount per variable takes the key 4 x_cut + 2 x_parent + x_v,
+    with the parent from the tree of the part the row goes to (value 0 at
+    a root).  Each bin still adds its part's weights in row order, so it
+    holds the same sequential sum as a count on the part alone."""
+    n_rows, n_vars = d.samples.shape
+    keep = np.delete(np.arange(n_vars), pos)
+    cut = d.samples[:, pos]
+    low = np.ascontiguousarray(d.samples[:, keep].T) + 4 * cut  # 4 x_cut + x_v
+    twice = np.zeros((n_vars + 1, n_rows), dtype=np.uint8)  # the last row for roots
+    np.multiply(d.samples.T, 2, out=twice[:-1])
+    # a part's local parent index -> its row of `twice`; -1 picks the zeros
+    rows = np.append(keep, n_vars)[parents].T.tolist()
+    on = cut.astype(bool)
+    out = np.empty((len(keep), 8))
+    for v, (p0, p1) in enumerate(rows):
+        high = twice[p0] if p0 == p1 else np.where(on, twice[p1], twice[p0])
+        out[v] = np.bincount(low[v] + high, d.weights, minlength=8)
+    return out.reshape(-1, 2, 2, 2).swapaxes(0, 1)
 

@@ -23,13 +23,22 @@ import numpy as np
 from . import cnet  # cnet imports this module; walk is read at call time
 from .clt import (
     ChowLiuTree,
+    _bd_scores,
     _fit_cpts,
+    _fitted_tree,
+    _structures,
     clt_bd_score,
     clt_log_likelihood,
     clt_param_count,
-    learn_clt,
+    learn_clt,  # noqa: F401  kept bound here: benchmarks/test_bench.py wraps it
 )
-from .data import WeightedDataset, DatasetError, restrict
+from .data import (
+    DatasetError,
+    WeightedDataset,
+    _split_family_counts,
+    _split_gram,
+    restrict,
+)
 from .numerics import log_beta
 
 __all__ = [
@@ -204,31 +213,92 @@ class CutCandidate:
     child_data: tuple
 
 
+# at most this many Gram cells (children x vars^2) are learned in one
+# stack, which bounds its temporaries at high dimension
+_STACK_CELLS = 1 << 18
+
+
 def evaluate_cut(
-    leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg: ScoreConfig,
+    leaf: ChowLiuTree, d_leaf: WeightedDataset, var, cfg: ScoreConfig,
     leaf_score: float | None = None,
 ) -> CutCandidate:
     """Score change of replacing `leaf` by a decision node on `var` with
-    two freshly learned Chow-Liu children.  A caller that evaluates many
-    cuts of one leaf passes the leaf's own score term as `leaf_score`,
-    so it is computed once."""
+    two freshly learned Chow-Liu children.
+
+    `var` may also be a list of candidate variables.  Then the children
+    of all the cuts are learned together, and the best cut is returned,
+    the first in list order on a tie; only its child datasets are built.
+    A caller that evaluates cuts of one leaf in several calls passes the
+    leaf's own score term as `leaf_score`, so it is computed once."""
+    variables = [var] if np.ndim(var) == 0 else list(var)
     if leaf.n_vars < 2:
         raise DatasetError("cannot cut a leaf with fewer than two variables")
-    if var not in leaf.variable_ids:
-        raise DatasetError(f"variable {var} not in leaf scope")
+    if not variables:
+        raise DatasetError("no variable to cut on")
+    for v in variables:
+        if v not in leaf.variable_ids:
+            raise DatasetError(f"variable {v} not in leaf scope")
     if leaf_score is None:
         leaf_score = _leaf_score(leaf, d_leaf, cfg)
-    d0 = restrict(d_leaf, var, 0)
-    d1 = restrict(d_leaf, var, 1)
-    counts = SumNodeCounts(d0.total_weight, d1.total_weight)
-    t0 = learn_clt(d0, cfg.fit_beta)
-    t1 = learn_clt(d1, cfg.fit_beta)
-    delta = (
-        _branch_term(counts, cfg)
-        + _leaf_score(t0, d0, cfg)
-        + _leaf_score(t1, d1, cfg)
-        - leaf_score
-        - _penalty(2 * leaf.n_vars - 4, cfg)
-    )
-    return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
+    best = None
+    for cut in _scored_cuts(d_leaf, variables, cfg, leaf_score):
+        if best is None or cut[1] > best[1]:
+            best = cut
+    var, delta, counts, children = best
+    return CutCandidate(var, delta, counts, *_built(d_leaf, var, *children, cfg.fit_beta))
 
+
+def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, leaf_score: float):
+    """Yield (var, delta, counts, children) for each variable in turn;
+    children = (structures, datasets or Nones, Gram counts, family counts
+    or Nones) of the cut's two children, for _built.
+
+    The children of many cuts are learned as one stack.  Under BD they
+    are counted on the leaf's own rows, and only a built cut copies its
+    rows into datasets; the BIC score needs each child's own rows."""
+    dvars = d_leaf.n_vars - 1
+    # BIC copies every child's rows, so it stacks one cut at a time and
+    # holds no more rows than a loop over the cuts would
+    step = 1 if cfg.kind == BIC else max(1, _STACK_CELLS // (2 * dvars * dvars))
+    for lo in range(0, len(variables), step):
+        cuts = variables[lo : lo + step]
+        if cfg.kind == BD:
+            grams = [_split_gram(d_leaf, d_leaf.column(v), c) for v in cuts for c in (0, 1)]
+            trees = _structures(grams)
+            parents = np.stack([p for p, _ in trees])
+            tables = np.concatenate([
+                _split_family_counts(d_leaf, d_leaf.column(v), parents[2 * i : 2 * i + 2])
+                for i, v in enumerate(cuts)
+            ])
+            scores = _bd_scores(tables, parents, cfg.alpha).tolist()
+            parts = [None] * len(grams)
+        else:
+            parts = [restrict(d_leaf, v, c) for v in cuts for c in (0, 1)]
+            grams = [part.gram_counts() for part in parts]
+            trees = _structures(grams)
+            scores = [
+                _leaf_score(_fitted_tree(part, *tree, cfg.fit_beta), part, cfg)
+                for part, tree in zip(parts, trees)
+            ]
+            tables = [None] * len(parts)
+        for i, var in enumerate(cuts):
+            pair = slice(2 * i, 2 * i + 2)
+            counts = SumNodeCounts(grams[2 * i][0], grams[2 * i + 1][0])
+            delta = (
+                _branch_term(counts, cfg)
+                + scores[2 * i]
+                + scores[2 * i + 1]
+                - leaf_score
+                - _penalty(2 * d_leaf.n_vars - 4, cfg)
+            )
+            yield var, float(delta), counts, (trees[pair], parts[pair], grams[pair], tables[pair])
+
+
+def _built(d_leaf, var, trees, parts, grams, tables, beta) -> tuple:
+    """(child trees, child datasets) of the cut on `var`; a child counted
+    on the leaf's rows is copied out now and remembers those counts."""
+    if parts[0] is None:
+        parts = [restrict(d_leaf, var, c) for c in (0, 1)]
+        for part, (parents, _), gram, table in zip(parts, trees, grams, tables):
+            part._remember(gram, parents, table.copy())
+    return tuple(_fitted_tree(part, *tree, beta) for part, tree in zip(parts, trees)), tuple(parts)

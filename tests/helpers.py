@@ -30,13 +30,13 @@ from cnetlearn import (
     clt_log_likelihood,
     cnet_log_density_rows,
     compile_cnet,
-    learn_clt,
     log_sum_exp_rows,
     mixture_log_density_rows,
     restrict,
     structure_param_count,
 )
 from cnetlearn.clt import _fit_cpts
+from cnetlearn.scores import CutCandidate
 from cnetlearn.cnet import walk
 
 
@@ -498,29 +498,87 @@ def ref_bic_cnet(net, d: WeightedDataset, cfg) -> float:
     return ll - penalty
 
 
-def ref_cut_delta(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> float:
+def ref_mi_matrix(total: float, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
+    """MI matrix of one dataset from its Gram counts, through the full
+    (2, 2, d, d) count and probability tables."""
+    dvars = len(n1)
+    counts = np.empty((2, 2, dvars, dvars))
+    counts[1, 1] = n11
+    counts[1, 0] = n1[:, None] - n11
+    counts[0, 1] = n1[None, :] - n11
+    counts[0, 0] = total - n1[:, None] - n1[None, :] + n11
+    counts = np.clip(counts, 0.0, None)
+    p = counts / total
+    pi = np.stack([1.0 - n1 / total, n1 / total])
+    mi = np.zeros((dvars, dvars))
+    for a in range(2):
+        for b in range(2):
+            pab = p[a, b]
+            denom = pi[a][:, None] * pi[b][None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = pab * (np.log(pab) - np.log(denom))
+            mi += np.where(pab > 0, term, 0.0)
+    np.fill_diagonal(mi, 0.0)
+    return np.clip(mi, 0.0, None)
+
+
+def ref_learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
+    """One Chow-Liu tree at a time: MI by ref_mi_matrix (zero on a
+    zero-weight dataset), Kruskal by ref_max_spanning_tree, CPTs by
+    ref_fit_cpts."""
+    if d.total_weight > 0:
+        mi = ref_mi_matrix(*d.gram_counts())
+    else:
+        mi = np.zeros((d.n_vars, d.n_vars))
+    parents, order = orient_at_zero(d.n_vars, ref_max_spanning_tree(mi))
+    return ChowLiuTree(d.variable_ids.copy(), parents, order, ref_fit_cpts(d, parents, beta))
+
+
+def ref_cut(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> CutCandidate:
+    """One cut, its children restricted and learned one at a time by
+    ref_learn_clt and scored on the per-kind path."""
     d0 = restrict(d_leaf, var, 0)
     d1 = restrict(d_leaf, var, 1)
-    t0 = learn_clt(d0, cfg.fit_beta)
-    t1 = learn_clt(d1, cfg.fit_beta)
+    t0 = ref_learn_clt(d0, cfg.fit_beta)
+    t1 = ref_learn_clt(d1, cfg.fit_beta)
+    counts = SumNodeCounts(d0.total_weight, d1.total_weight)
     if cfg.kind == "bd":
-        before = clt_bd_score(leaf, d_leaf, cfg.alpha)
-        counts = SumNodeCounts(d0.total_weight, d1.total_weight)
-        return (
+        before = ref_clt_bd_score(leaf, d_leaf, cfg.alpha)
+        delta = (
             bd_sum_node(counts, cfg.alpha)
-            + clt_bd_score(t0, d0, cfg.alpha)
-            + clt_bd_score(t1, d1, cfg.alpha)
+            + ref_clt_bd_score(t0, d0, cfg.alpha)
+            + ref_clt_bd_score(t1, d1, cfg.alpha)
             - before
         )
-    before = _ref_refit_ll(leaf, d_leaf, cfg.beta)
-    ll_after = (
-        _ref_weighted_branch_ll(d0.total_weight, d1.total_weight, cfg.beta)
-        + clt_log_likelihood(t0, d0)
-        + clt_log_likelihood(t1, d1)
-    )
-    extra_params = 2 * leaf.n_vars - 4
-    penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
-    return ll_after - before - penalty
+    else:
+        before = _ref_refit_ll(leaf, d_leaf, cfg.beta)
+        ll_after = (
+            _ref_weighted_branch_ll(counts.n0, counts.n1, cfg.beta)
+            + clt_log_likelihood(t0, d0)
+            + clt_log_likelihood(t1, d1)
+        )
+        extra_params = 2 * leaf.n_vars - 4
+        penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
+        delta = ll_after - before - penalty
+    return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
+
+
+def ref_cut_delta(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> float:
+    return ref_cut(leaf, d_leaf, var, cfg).delta
+
+
+def ref_select_best_cut(leaf: ChowLiuTree, d_leaf: WeightedDataset, candidates, cfg):
+    """The learner's per-leaf choice, one candidate at a time: the first
+    best cut in ascending variable order, or None unless its delta is
+    positive."""
+    best = None
+    for var in sorted(candidates):
+        cand = ref_cut(leaf, d_leaf, var, cfg)
+        if best is None or cand.delta > best.delta:
+            best = cand
+    if best is None or best.delta <= 0:
+        return None
+    return best
 
 
 def ref_decision_weights(n0: float, n1: float, cfg) -> np.ndarray:

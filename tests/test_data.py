@@ -195,3 +195,14 @@ def test_restrict_rejects_bad_value():
     with pytest.raises(DatasetError):
         restrict(d, 0, 2)
 
+
+def test_family_counts_of_no_rows_is_the_loops_zero_table():
+    d = WeightedDataset(np.zeros((0, 4), dtype=np.uint8), np.zeros(0))
+    parents = np.array([-1, 0, 1, 1])
+    table = d.family_counts(parents)
+    # what one bincount per variable gives on no rows: +0.0 everywhere
+    nothing = np.bincount(np.zeros(0, dtype=np.uint8), np.zeros(0), minlength=4)
+    assert np.array_equal(table, np.stack([nothing.reshape(2, 2)] * 4))
+    assert not np.signbit(table).any()
+    assert not table.flags.writeable
+    assert d.family_counts(parents) is table

@@ -284,6 +284,14 @@ def test_cut_delta_rejects_unknown_variable():
         evaluate_cut(leaf, d, 5, ScoreConfig()).delta
 
 
+def test_cut_candidate_list_is_checked():
+    d = unit_dataset([[0, 1], [1, 0]])
+    leaf = learn_clt(d, 0.0)
+    for candidates in ([], [0, 5]):
+        with pytest.raises(DatasetError):
+            evaluate_cut(leaf, d, candidates, ScoreConfig())
+
+
 def test_cut_delta_noise_rejection_bd():
     # pure-independence data: conditioning is never worth it for BD
     for seed in range(20):
