@@ -40,7 +40,6 @@ from .circuit import (
     circuit_values,
     compile_cnet,
     dump_circuit,
-    induced_path,
     make_circuit,
 )
 from .data import DatasetError, WeightedDataset, load_csv, restrict, save_csv
@@ -52,7 +51,7 @@ from .mixture import (
     m_step,
     mixture_log_density_rows,
 )
-from .numerics import entropy, log_beta, log_gamma, log_sum_exp, log_sum_exp_rows
+from .numerics import log_beta, log_gamma, log_sum_exp_rows
 from .scores import (
     BD,
     BIC,

@@ -42,7 +42,6 @@ __all__ = [
     "check_decomposable",
     "check_deterministic",
     "circuit_size",
-    "induced_path",
     "dump_circuit",
 ]
 
@@ -345,23 +344,6 @@ def circuit_size(circuit: Circuit) -> CircuitSize:
         if node.kind == "sum":
             params += len(node.inputs) - 1
     return CircuitSize(nodes, edges, params)
-
-
-def induced_path(net, x) -> list:
-    """Decision path of one full assignment through a cutset network:
-    the list of (decision node, branch taken), root first."""
-    x = np.asarray(x)
-    if x.shape != (net.n_vars,):
-        raise DatasetError("assignment does not match the network scope")
-    path = []
-    node = net.root
-    while node.kind == "decision":
-        k = int(x[net.column_of(node.var)])
-        if k not in (0, 1):
-            raise DatasetError("assignments must be 0/1")
-        path.append((node, k))
-        node = node.children[k]
-    return path
 
 
 def dump_circuit(circuit: Circuit) -> str:

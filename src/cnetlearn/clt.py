@@ -204,12 +204,41 @@ def _orient(dvars: int, edges: list):
     return np.array(parents, dtype=np.int64), np.array(order, dtype=np.int64)
 
 
-def _structures(grams: list) -> list:
-    """(parents, order) of the Chow-Liu tree of each of a stack of datasets
-    over the same number of variables, from their gram_counts()."""
-    total = np.array([g[0] for g in grams])
-    mi = _mi_matrix(total, np.stack([g[1] for g in grams]), np.stack([g[2] for g in grams]))
+def _stacked(grams: list) -> tuple:
+    """(total (m,), n1 (m, d), n11 (m, d, d)) of m datasets over the same
+    number of variables, from their gram_counts()."""
+    return (
+        np.array([g[0] for g in grams]),
+        np.stack([g[1] for g in grams]),
+        np.stack([g[2] for g in grams]),
+    )
+
+
+def _structures(stack: tuple) -> list:
+    """(parents, order) of the Chow-Liu tree of each dataset of a stack of
+    Gram counts (see _stacked)."""
+    mi = _mi_matrix(*stack)
     return [_orient(mi.shape[1], edges) for edges in _max_spanning_trees(mi)]
+
+
+def _family_tables(total: np.ndarray, n1: np.ndarray, n11: np.ndarray, parents) -> np.ndarray:
+    """(m, d, 2, 2) family counts of m trees, read off the Gram counts of
+    their datasets (see _stacked) with (m, d) parents: table[k, v, u, x]
+    is the weight of rows with x_v = x and x_parent = u, the same as
+    family_counts up to rounding.  A root reads as a child of a parent
+    that is always 0, so its row 1 is all zero.  Tiny negative rounding
+    is clipped to 0, as in _mi_matrix."""
+    m, dvars = n1.shape
+    k, v = np.arange(m)[:, None], np.arange(dvars)
+    root = parents < 0
+    n1p = np.where(root, 0.0, n1[k, parents])
+    n11vp = np.where(root, 0.0, n11[k, v, parents])
+    table = np.empty((m, dvars, 2, 2))
+    table[:, :, 1, 1] = n11vp
+    table[:, :, 1, 0] = n1p - n11vp
+    table[:, :, 0, 1] = n1 - n11vp
+    table[:, :, 0, 0] = total[:, None] - n1 - n1p + n11vp
+    return np.clip(table, 0.0, None, out=table)
 
 
 def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> list:
@@ -234,7 +263,7 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
     """
     if d.n_vars < 1:
         raise DatasetError("learn_clt needs at least one variable")
-    ((parents, order),) = _structures([d.gram_counts()])
+    ((parents, order),) = _structures(_stacked([d.gram_counts()]))
     return _fitted_tree(d, parents, order, beta)
 
 
@@ -283,6 +312,7 @@ def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 
 
 def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
@@ -294,16 +324,23 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_scope(t, d)
-    return float(_bd_scores(d.family_counts(t.parents)[None], t.parents[None], alpha)[0])
+    parents = t.parents[None]
+    tables = _family_tables(*_stacked([d.gram_counts()]), parents)
+    return float(_bd_scores(tables, parents, alpha)[0])
+
+
+def _cpt_rows(tables: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """(m, 2d - 1, 2) counts of every CPT row of m trees, by variable, from
+    their (m, d, 2, 2) family counts and (m, d) parents."""
+    has_row = np.ones(tables.shape[:3], dtype=bool)
+    has_row[:, :, 1] = parents >= 0
+    return tables[has_row].reshape(len(tables), -1, 2)
 
 
 def _bd_scores(tables: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
     """clt_bd_score of each of m trees over the same number of variables,
     from their (m, d, 2, 2) family counts and (m, d) parents."""
-    has_row = np.ones(tables.shape[:3], dtype=bool)
-    has_row[:, :, 1] = parents >= 0
-    # one CPT row per family, by variable; every tree has 2d - 1
-    rows = tables[has_row].reshape(len(tables), -1, 2)
+    rows = _cpt_rows(tables, parents)
     half = alpha / 2
     terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, :, 0] + rows[:, :, 1]))
     terms += _lgamma(half + rows[:, :, 0]) - math.lgamma(half)
@@ -311,6 +348,20 @@ def _bd_scores(tables: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndar
     # a sequential sum in this term order: whether a cut with a delta
     # near 0 is accepted can hinge on the last bit
     return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _ll_scores(tables: np.ndarray, parents: np.ndarray, beta: float) -> np.ndarray:
+    """Weighted log-likelihood of each of m trees at the CPTs that _fit_cpts
+    would give with smoothing `beta`, from their (m, d, 2, 2) family counts
+    and (m, d) parents: the sum of n log theta over the CPT cells, in
+    _bd_scores' order, cell x = 0 before x = 1.  An empty cell adds 0."""
+    rows = _cpt_rows(tables, parents)
+    denom = rows[:, :, :1] + rows[:, :, 1:] + 2.0 * beta
+    live = rows > 0
+    terms = np.zeros(rows.shape)
+    theta = (rows + beta)[live] / np.broadcast_to(denom, rows.shape)[live]
+    terms[live] = rows[live] * _log(theta)
+    return np.cumsum(terms.reshape(len(rows), -1), axis=1)[:, -1]
 
 
 def clt_sample(t: ChowLiuTree, n: int, rng: np.random.Generator) -> np.ndarray:

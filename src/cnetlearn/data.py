@@ -101,12 +101,10 @@ class WeightedDataset:
             self._counts[key] = table
         return table
 
-    def _remember(self, gram: tuple, parents: np.ndarray, table: np.ndarray) -> None:
-        """Memoize counts of this dataset computed elsewhere from its rows,
-        bit for bit what gram_counts() and family_counts(parents) give."""
-        table.flags.writeable = False
+    def _remember(self, gram: tuple) -> None:
+        """Memoize Gram counts of this dataset computed elsewhere from its
+        rows, bit for bit what gram_counts() gives."""
         self._counts["gram"] = gram
-        self._counts[parents.tobytes()] = table
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """Same samples, new per-row weights."""
@@ -233,29 +231,3 @@ def _split_gram(d: WeightedDataset, pos: int, value: int) -> tuple:
     that dataset would give it, so the counts are the same bits."""
     mask, keep = _split(d, pos, value)
     return _gram(d.samples[mask][:, keep], d.weights[mask])
-
-
-def _split_family_counts(d: WeightedDataset, pos: int, parents: np.ndarray) -> np.ndarray:
-    """(2, n_vars - 1, 2, 2) family counts of both parts of a split on
-    column `pos`, counted on d's own rows: out[c] equals
-    restrict(d, the variable at `pos`, c).family_counts(parents[c]).
-
-    One bincount per variable takes the key 4 x_cut + 2 x_parent + x_v,
-    with the parent from the tree of the part the row goes to (value 0 at
-    a root).  Each bin still adds its part's weights in row order, so it
-    holds the same sequential sum as a count on the part alone."""
-    n_rows, n_vars = d.samples.shape
-    keep = np.delete(np.arange(n_vars), pos)
-    cut = d.samples[:, pos]
-    low = np.ascontiguousarray(d.samples[:, keep].T) + 4 * cut  # 4 x_cut + x_v
-    twice = np.zeros((n_vars + 1, n_rows), dtype=np.uint8)  # the last row for roots
-    np.multiply(d.samples.T, 2, out=twice[:-1])
-    # a part's local parent index -> its row of `twice`; -1 picks the zeros
-    rows = np.append(keep, n_vars)[parents].T.tolist()
-    on = cut.astype(bool)
-    out = np.empty((len(keep), 8))
-    for v, (p0, p1) in enumerate(rows):
-        high = twice[p0] if p0 == p1 else np.where(on, twice[p1], twice[p0])
-        out[v] = np.bincount(low[v] + high, d.weights, minlength=8)
-    return out.reshape(-1, 2, 2, 2).swapaxes(0, 1)
-

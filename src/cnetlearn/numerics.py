@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["log_gamma", "log_beta", "entropy", "log_sum_exp", "log_sum_exp_rows"]
+__all__ = ["log_gamma", "log_beta", "log_sum_exp_rows"]
 
 
 def log_gamma(x: float) -> float:
@@ -28,36 +28,6 @@ def log_gamma(x: float) -> float:
 def log_beta(a: float, b: float) -> float:
     """Natural log of the Beta function B(a, b) for a, b > 0."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-
-
-def entropy(counts) -> float:
-    """Entropy in nats of the distribution proportional to `counts`.
-
-    Uses the 0 * log 0 = 0 convention and returns 0 for an all-zero
-    count vector.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    if np.any(c < 0):
-        raise ValueError("entropy requires nonnegative counts")
-    total = c.sum()
-    if total == 0:
-        return 0.0
-    p = c[c > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) computed with a max shift.
-
-    Returns -inf iff every input is -inf.  Raises on an empty vector.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = v.max()
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.exp(v - m).sum()))
 
 
 def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:

@@ -24,21 +24,16 @@ from . import cnet  # cnet imports this module; walk is read at call time
 from .clt import (
     ChowLiuTree,
     _bd_scores,
-    _fit_cpts,
+    _check_scope,
+    _family_tables,
     _fitted_tree,
+    _ll_scores,
+    _stacked,
     _structures,
-    clt_bd_score,
-    clt_log_likelihood,
     clt_param_count,
     learn_clt,  # noqa: F401  kept bound here: benchmarks/test_bench.py wraps it
 )
-from .data import (
-    DatasetError,
-    WeightedDataset,
-    _split_family_counts,
-    _split_gram,
-    restrict,
-)
+from .data import DatasetError, WeightedDataset, _split_gram, restrict
 from .numerics import log_beta
 
 __all__ = [
@@ -130,13 +125,6 @@ def structure_param_count(net) -> int:
     )
 
 
-def _refit_tree(tree: ChowLiuTree, dsub: WeightedDataset, beta: float) -> ChowLiuTree:
-    if tree.n_vars != dsub.n_vars or np.any(tree.variable_ids != dsub.variable_ids):
-        raise DatasetError("dataset variables do not match the leaf scope")
-    cpts = _fit_cpts(dsub, tree.parents, beta)
-    return ChowLiuTree(tree.variable_ids, tree.parents, tree.order, cpts)
-
-
 def _branch_term(counts: SumNodeCounts, cfg: ScoreConfig) -> float:
     """A decision node's own term of the configured score: the BD score
     of its branch counts, or their log-likelihood n0 log w0 + n1 log w1
@@ -150,12 +138,21 @@ def _branch_term(counts: SumNodeCounts, cfg: ScoreConfig) -> float:
     return ll
 
 
-def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
-    """A leaf's own term of the configured score: its BD score, or its
-    log-likelihood after a refit with the BIC smoothing."""
+def _leaf_scores(stack: tuple, parents: np.ndarray, cfg: ScoreConfig) -> np.ndarray:
+    """Own terms of the configured score of m leaves with (m, d) parents,
+    from the stacked Gram counts of their data (see clt._stacked): each
+    leaf's BD score, or its log-likelihood at the ML CPTs with the BIC
+    smoothing."""
+    tables = _family_tables(*stack, parents)
     if cfg.kind == BD:
-        return clt_bd_score(leaf, d_leaf, cfg.alpha)
-    return clt_log_likelihood(_refit_tree(leaf, d_leaf, cfg.beta), d_leaf)
+        return _bd_scores(tables, parents, cfg.alpha)
+    return _ll_scores(tables, parents, cfg.beta)
+
+
+def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
+    """One leaf's own term of the configured score; see _leaf_scores."""
+    _check_scope(leaf, d_leaf)
+    return float(_leaf_scores(_stacked([d_leaf.gram_counts()]), leaf.parents[None], cfg)[0])
 
 
 def _penalty(n_params: int, cfg: ScoreConfig) -> float:
@@ -250,37 +247,20 @@ def evaluate_cut(
 
 def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, leaf_score: float):
     """Yield (var, delta, counts, children) for each variable in turn;
-    children = (structures, datasets or Nones, Gram counts, family counts
-    or Nones) of the cut's two children, for _built.
+    children = (structures, Gram counts) of the cut's two children, for
+    _built.
 
-    The children of many cuts are learned as one stack.  Under BD they
-    are counted on the leaf's own rows, and only a built cut copies its
-    rows into datasets; the BIC score needs each child's own rows."""
+    The children of many cuts are counted on the leaf's own rows and
+    learned and scored as one stack; no child's rows are copied out
+    before its cut is built."""
     dvars = d_leaf.n_vars - 1
-    # BIC copies every child's rows, so it stacks one cut at a time and
-    # holds no more rows than a loop over the cuts would
-    step = 1 if cfg.kind == BIC else max(1, _STACK_CELLS // (2 * dvars * dvars))
+    step = max(1, _STACK_CELLS // (2 * dvars * dvars))
     for lo in range(0, len(variables), step):
         cuts = variables[lo : lo + step]
-        if cfg.kind == BD:
-            grams = [_split_gram(d_leaf, d_leaf.column(v), c) for v in cuts for c in (0, 1)]
-            trees = _structures(grams)
-            parents = np.stack([p for p, _ in trees])
-            tables = np.concatenate([
-                _split_family_counts(d_leaf, d_leaf.column(v), parents[2 * i : 2 * i + 2])
-                for i, v in enumerate(cuts)
-            ])
-            scores = _bd_scores(tables, parents, cfg.alpha).tolist()
-            parts = [None] * len(grams)
-        else:
-            parts = [restrict(d_leaf, v, c) for v in cuts for c in (0, 1)]
-            grams = [part.gram_counts() for part in parts]
-            trees = _structures(grams)
-            scores = [
-                _leaf_score(_fitted_tree(part, *tree, cfg.fit_beta), part, cfg)
-                for part, tree in zip(parts, trees)
-            ]
-            tables = [None] * len(parts)
+        grams = [_split_gram(d_leaf, d_leaf.column(v), c) for v in cuts for c in (0, 1)]
+        stack = _stacked(grams)
+        trees = _structures(stack)
+        scores = _leaf_scores(stack, np.stack([p for p, _ in trees]), cfg).tolist()
         for i, var in enumerate(cuts):
             pair = slice(2 * i, 2 * i + 2)
             counts = SumNodeCounts(grams[2 * i][0], grams[2 * i + 1][0])
@@ -291,14 +271,14 @@ def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, lea
                 - leaf_score
                 - _penalty(2 * d_leaf.n_vars - 4, cfg)
             )
-            yield var, float(delta), counts, (trees[pair], parts[pair], grams[pair], tables[pair])
+            yield var, float(delta), counts, (trees[pair], grams[pair])
 
 
-def _built(d_leaf, var, trees, parts, grams, tables, beta) -> tuple:
-    """(child trees, child datasets) of the cut on `var`; a child counted
-    on the leaf's rows is copied out now and remembers those counts."""
-    if parts[0] is None:
-        parts = [restrict(d_leaf, var, c) for c in (0, 1)]
-        for part, (parents, _), gram, table in zip(parts, trees, grams, tables):
-            part._remember(gram, parents, table.copy())
+def _built(d_leaf, var, trees, grams, beta) -> tuple:
+    """(child trees, child datasets) of the cut on `var`: the children's
+    rows are copied out now, and remember the Gram counts taken on the
+    leaf's rows."""
+    parts = [restrict(d_leaf, var, c) for c in (0, 1)]
+    for part, gram in zip(parts, grams):
+        part._remember(gram)
     return tuple(_fitted_tree(part, *tree, beta) for part, tree in zip(parts, trees)), tuple(parts)

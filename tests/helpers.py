@@ -25,9 +25,7 @@ from cnetlearn import (
     Mixture,
     bd_sum_node,
     circuit_log_values,
-    clt_bd_score,
     clt_log_density_rows,
-    clt_log_likelihood,
     cnet_log_density_rows,
     compile_cnet,
     log_sum_exp_rows,
@@ -35,7 +33,6 @@ from cnetlearn import (
     restrict,
     structure_param_count,
 )
-from cnetlearn.clt import _fit_cpts
 from cnetlearn.scores import CutCandidate
 from cnetlearn.cnet import walk
 
@@ -91,6 +88,37 @@ def random_dataset(rng, n_rows: int, n_vars: int, ids=None) -> WeightedDataset:
 def enumerate_bits(n_vars: int) -> np.ndarray:
     combos = itertools.product((0, 1), repeat=n_vars)
     return np.array(list(combos), dtype=np.uint8).reshape(-1, n_vars)
+
+
+def log_sum_exp(values) -> float:
+    """log(sum(exp(v))) of one vector, computed with a max shift.
+
+    Returns -inf iff every input is -inf.  Raises on an empty vector.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("log_sum_exp of an empty vector")
+    m = v.max()
+    if m == -math.inf:
+        return -math.inf
+    return float(m + np.log(np.exp(v - m).sum()))
+
+
+def induced_path(net, x) -> list:
+    """Decision path of one full assignment through a cutset network:
+    the list of (decision node, branch taken), root first."""
+    x = np.asarray(x)
+    if x.shape != (net.n_vars,):
+        raise DatasetError("assignment does not match the network scope")
+    path = []
+    node = net.root
+    while node.kind == "decision":
+        k = int(x[net.column_of(node.var)])
+        if k not in (0, 1):
+            raise DatasetError("assignments must be 0/1")
+        path.append((node, k))
+        node = node.children[k]
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +413,30 @@ def ref_bd_family(counts, alpha: float) -> float:
     return score
 
 
+def ref_gram_family_table(d: WeightedDataset, v: int, p: int) -> np.ndarray:
+    """2x2 family table of local variable v under parent p (-1 at a root),
+    read off d.gram_counts() one cell at a time: table[u, x] is the weight
+    of rows with x_v = x and x_p = u.  A root's row 1 is zero; a cell
+    that rounds below 0 reads 0."""
+    total, n1, n11 = d.gram_counts()
+    n1v = float(n1[v])
+    n1p = 0.0 if p < 0 else float(n1[p])
+    n11vp = 0.0 if p < 0 else float(n11[v, p])
+    cells = [[total - n1v - n1p + n11vp, n1v - n11vp], [n1p - n11vp, n11vp]]
+    return np.array([[max(c, 0.0) for c in row] for row in cells])
+
+
+def _ref_cpt_rows(parents) -> list:
+    """(v, u) of every CPT row of a tree, by variable: the order in which
+    the library sums a tree's score terms."""
+    return [(v, u) for v, p in enumerate(parents) for u in ((0,) if p < 0 else (0, 1))]
+
+
 def ref_clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     """Tree BD score summed family by family, in variable order."""
-    w = d.weights
     score = 0.0
-    for v in range(t.n_vars):
-        xv = d.samples[:, v].astype(np.int64)
-        if t.parents[v] < 0:
-            counts = np.zeros(2)
-            np.add.at(counts, xv, w)
-            score += ref_bd_family(counts, alpha)
-        else:
-            xu = d.samples[:, t.parents[v]].astype(np.int64)
-            table = np.zeros((2, 2))
-            np.add.at(table, (xu, xv), w)
-            for u in (0, 1):
-                score += ref_bd_family(table[u], alpha)
+    for v, u in _ref_cpt_rows(t.parents):
+        score += ref_bd_family(ref_gram_family_table(d, v, int(t.parents[v]))[u], alpha)
     return score
 
 
@@ -467,15 +503,22 @@ def _ref_weighted_branch_ll(n0: float, n1: float, beta: float) -> float:
 
 
 def _ref_refit_ll(tree: ChowLiuTree, d: WeightedDataset, beta: float) -> float:
-    cpts = _fit_cpts(d, tree.parents, beta)
-    refit = ChowLiuTree(tree.variable_ids, tree.parents, tree.order, cpts)
-    return clt_log_likelihood(refit, d)
+    """Log-likelihood of the tree's structure at its beta-smoothed ML CPTs:
+    n log theta summed one CPT cell at a time, in the library's order."""
+    ll = 0.0
+    for v, u in _ref_cpt_rows(tree.parents):
+        row = ref_gram_family_table(d, v, int(tree.parents[v]))[u]
+        denom = row[0] + row[1] + 2.0 * beta
+        for n in row.tolist():
+            if n > 0:
+                ll += n * math.log((n + beta) / denom)
+    return ll
 
 
 def ref_bd_cnet(net, d: WeightedDataset, alpha: float) -> float:
     def rec(node, dsub) -> float:
         if node.kind == "leaf":
-            return clt_bd_score(node.tree, dsub, alpha)
+            return ref_clt_bd_score(node.tree, dsub, alpha)
         d0 = restrict(dsub, node.var, 0)
         d1 = restrict(dsub, node.var, 1)
         local = bd_sum_node(SumNodeCounts(d0.total_weight, d1.total_weight), alpha)
@@ -554,8 +597,8 @@ def ref_cut(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> CutCan
         before = _ref_refit_ll(leaf, d_leaf, cfg.beta)
         ll_after = (
             _ref_weighted_branch_ll(counts.n0, counts.n1, cfg.beta)
-            + clt_log_likelihood(t0, d0)
-            + clt_log_likelihood(t1, d1)
+            + _ref_refit_ll(t0, d0, cfg.beta)
+            + _ref_refit_ll(t1, d1, cfg.beta)
         )
         extra_params = 2 * leaf.n_vars - 4
         penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params

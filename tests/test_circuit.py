@@ -28,7 +28,6 @@ from cnetlearn import (
     cnet_log_density_rows,
     compile_cnet,
     dump_circuit,
-    induced_path,
     learn_clt,
     learn_cnet,
     learn_sem,
@@ -41,6 +40,7 @@ from cnetlearn.cnet import CutsetNetwork, Leaf
 from helpers import (
     count_decisions,
     enumerate_bits,
+    induced_path,
     random_dataset,
     random_net,
     ref_check_deterministic,

@@ -26,7 +26,6 @@ from cnetlearn import (
     cnet_log_density_rows,
     cnet_mpe,
     cnet_sample,
-    induced_path,
     information_gain,
     learn_clt,
     learn_cnet,
@@ -42,6 +41,7 @@ from helpers import (
     count_decisions,
     enumerate_bits,
     evidence_matrix,
+    induced_path,
     mpe_of,
     random_dataset,
     random_net,

@@ -3,9 +3,15 @@ per-family, per-variable and per-edge references in helpers.py, the
 kind-agnostic score code against the per-kind BD and BIC references, and
 the stacked cut pass against one learn per child.
 
-CPTs and BD scores must agree exactly, because the learner's accept rule
-compares a score delta with 0 and can hinge on the last bit.  The
-information gain sums in another order, so it agrees to 1e-12.
+Two counts of the same families meet here.  CPTs are fit on
+family_counts, which adds each family's weights in row order, and must
+equal the np.add.at reference exactly.  Scores read their family tables
+off the Gram counts, as ref_gram_family_table does one cell at a time;
+an oracle test holds those tables to a per-family np.add.at count,
+exactly on unit weights and to 1e-12 of the total weight otherwise.
+Scores must agree with their references exactly, because the learner's
+accept rule compares a score delta with 0 and can hinge on the last bit.
+The information gain sums in another order, so it agrees to 1e-12.
 """
 
 import numpy as np
@@ -13,24 +19,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnetlearn import (
-    ChowLiuTree,
     LearnerConfig,
     WeightedDataset,
     bd_cnet,
     bic_cnet,
     clt_bd_score,
-    clt_log_likelihood,
     learn_clt,
     learn_cnet,
     restrict,
     select_best_cut,
 )
-from cnetlearn.clt import _fit_cpts, _max_spanning_tree, _max_spanning_trees, _mi_matrix
+from cnetlearn.clt import (
+    _family_tables,
+    _fit_cpts,
+    _max_spanning_tree,
+    _max_spanning_trees,
+    _mi_matrix,
+    _stacked,
+)
 from cnetlearn.cnet import _information_gains, information_gain
-from cnetlearn.data import _split_family_counts, _split_gram
+from cnetlearn.data import _split_gram
 from cnetlearn.scores import BD, BIC, ScoreConfig, evaluate_cut
 
 from helpers import (
+    _ref_refit_ll,
     random_net,
     random_tree,
     ref_bd_cnet,
@@ -40,6 +52,7 @@ from helpers import (
     ref_decision_weights,
     ref_fit_cpts,
     ref_cut,
+    ref_gram_family_table,
     ref_information_gain,
     ref_max_spanning_tree,
     ref_mi_matrix,
@@ -177,18 +190,50 @@ def _random_parents(rng, n: int) -> np.ndarray:
     return parents
 
 
+def _add_at_table(d: WeightedDataset, v: int, p: int) -> np.ndarray:
+    """Family table of local variable v under parent p (-1 at a root),
+    counted row by row with np.add.at."""
+    xv = d.samples[:, v].astype(np.int64)
+    xu = np.zeros_like(xv) if p < 0 else d.samples[:, p].astype(np.int64)
+    table = np.zeros((2, 2))
+    np.add.at(table, (xu, xv), d.weights)
+    return table
+
+
 @SETTINGS
-@given(datasets(), st.integers(0, 2**32 - 1))
-def test_split_counts_equal_counts_of_the_restricted_parts(d, seed):
+@given(st.lists(datasets(), min_size=1, max_size=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gram_family_tables_equal_add_at_counts(ds, dvars, seed):
+    # one stack of datasets over dvars variables, each with a random tree
+    rng = np.random.default_rng(seed)
+    ds = [WeightedDataset(np.resize(d.samples, (d.n_rows, dvars)), d.weights) for d in ds]
+    parents = np.stack([_random_parents(rng, dvars) for _ in ds])
+    tables = _family_tables(*_stacked([d.gram_counts() for d in ds]), parents)
+    assert tables.shape == (len(ds), dvars, 2, 2)
+    assert np.all(tables >= 0.0)
+    for k, d in enumerate(ds):
+        total = d.total_weight
+        for v, p in enumerate(parents[k].tolist()):
+            got = tables[k, v]
+            assert np.array_equal(got, ref_gram_family_table(d, v, p))
+            want = _add_at_table(d, v, p)
+            if np.all(d.weights == 1.0):
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * total)
+            if p < 0:
+                assert np.array_equal(got[1], [0.0, 0.0]) and not np.signbit(got[1]).any()
+        if d.n_rows == 0:
+            assert np.all(tables[k] == 0.0) and not np.signbit(tables[k]).any()
+
+
+@SETTINGS
+@given(datasets())
+def test_split_counts_equal_counts_of_the_restricted_parts(d):
     if d.n_vars < 2:
         return
-    rng = np.random.default_rng(seed)
     for pos, var in enumerate(d.variable_ids.tolist()):
-        parents = np.stack([_random_parents(rng, d.n_vars - 1) for _ in (0, 1)])
-        tables = _split_family_counts(d, pos, parents)
         for c in (0, 1):
             part = restrict(d, var, c)
-            assert np.array_equal(tables[c], part.family_counts(parents[c]))
             gram, want = _split_gram(d, pos, c), part.gram_counts()
             assert gram[0] == want[0]
             assert np.array_equal(gram[1], want[1]) and np.array_equal(gram[2], want[2])
@@ -204,9 +249,7 @@ def test_cut_delta_same_with_reference_leaf_score(d, kind):
     if kind == BD:
         before = ref_clt_bd_score(leaf, d, cfg.alpha)
     else:
-        cpts = ref_fit_cpts(d, leaf.parents, cfg.beta)
-        refit = ChowLiuTree(leaf.variable_ids, leaf.parents, leaf.order, cpts)
-        before = clt_log_likelihood(refit, d)
+        before = _ref_refit_ll(leaf, d, cfg.beta)
     for var in d.variable_ids.tolist():
         plain = evaluate_cut(leaf, d, var, cfg)
         assert evaluate_cut(leaf, d, var, cfg, leaf_score=before).delta == plain.delta

@@ -29,13 +29,13 @@ from cnetlearn.cnet import CutsetNetwork, Leaf
 
 from helpers import (
     enumerate_bits,
+    log_sum_exp,
     random_dataset,
     random_net,
     regime_samples,
     unit_dataset,
 )
 
-from cnetlearn.numerics import log_sum_exp
 
 
 def _single_net(rows, beta=0.1):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cnetlearn import log_gamma, log_beta, entropy, log_sum_exp, log_sum_exp_rows
+from cnetlearn import log_gamma, log_beta, log_sum_exp_rows
+
+from helpers import log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -94,31 +96,6 @@ def test_log_beta_is_gamma_combination():
         assert log_beta(a, b) == direct
     # B(1, 1) = 1
     assert abs(log_beta(1.0, 1.0)) <= 1e-15
-
-
-def test_entropy_examples():
-    assert math.isclose(entropy([1, 1]), math.log(2), rel_tol=1e-15)
-    assert entropy([4, 0]) == 0.0
-    assert entropy([0, 0]) == 0.0
-    p = 3 / 4
-    expected = -(p * math.log(p) + (1 - p) * math.log(1 - p))
-    assert math.isclose(entropy([3, 1]), expected, rel_tol=1e-14)
-
-
-def test_entropy_properties():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        c = rng.uniform(0, 5, size=4)
-        perm = rng.permutation(4)
-        assert math.isclose(entropy(c), entropy(c[perm]), rel_tol=1e-12)
-        # uniform maximizes entropy at fixed support size
-        assert entropy(c) <= math.log(4) + 1e-12
-    assert math.isclose(entropy([2, 2, 2, 2]), math.log(4), rel_tol=1e-14)
-
-
-def test_entropy_rejects_negative():
-    with pytest.raises(ValueError):
-        entropy([1.0, -0.5])
 
 
 def test_log_sum_exp_examples():

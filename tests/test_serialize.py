@@ -1,5 +1,7 @@
-"""Model files: exact round trips and input validation."""
+"""Model files: exact round trips, input validation, and pinned bytes of
+learned models."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +16,8 @@ from cnetlearn import (
     LearnerConfig,
     Mixture,
     ScoreConfig,
+    WeightedDataset,
+    clt_sample,
     cnet_log_density_rows,
     learn_cnet,
     learn_sem,
@@ -24,7 +28,62 @@ from cnetlearn import (
     save_model,
 )
 
-from helpers import enumerate_bits, random_dataset, regime_samples, unit_dataset
+from helpers import enumerate_bits, random_dataset, random_tree, regime_samples, unit_dataset
+
+
+# sha256 of each model file without its provenance block.  Learned models
+# must stay byte-stable, across BLAS thread counts too: at 2,000 rows x 16
+# variables the Gram products give the same bits under 1 and 2 threads.
+PINNED_MODELS = {
+    "bd": "51fc55833db24b5cd22747dc69023dcdddd50aeb848f3bc3ca4a93ef7bb30062",
+    "bic": "63d9ba8b9f3e6648fc441ba224dfb2708bab4d5b607cd82232770c8cd2d955fe",
+    "bd-mixture": "ba89bcd31be8c4d91e837d0f13bf8e5064eafd618b3730acd6d176e97b93cd24",
+}
+
+
+def _planted_rows(rng, n: int, n_vars: int, k: int) -> np.ndarray:
+    """n rows from a uniform mixture of k random trees whose CPT rows put
+    0.1 or 0.9 on a one; a few switch variables spell out the tree's
+    index in binary, so cuts on them separate the trees."""
+    switch = rng.permutation(n_vars)[: (k - 1).bit_length()].tolist()
+    trees = []
+    for c in range(k):
+        tree = random_tree(rng, range(n_vars))
+        for v in range(n_vars):
+            p1 = rng.choice([0.1, 0.9], size=len(tree.cpt[v]))
+            if v in switch:
+                p1[:] = 0.99 if (c >> switch.index(v)) & 1 else 0.01
+            tree.cpt[v] = np.stack([1 - p1, p1], axis=1)
+        trees.append(tree)
+    z = rng.integers(0, k, n)
+    x = np.zeros((n, n_vars), dtype=np.uint8)
+    for c, tree in enumerate(trees):
+        x[z == c] = clt_sample(tree, int(np.sum(z == c)), rng)
+    return x
+
+
+def _pinned_learn(name: str):
+    """(model, score) of one pinned learn on a planted dataset of 2,000
+    rows x 16 variables: a network on unit weights, or a 2-component
+    mixture on fractional weights."""
+    x = _planted_rows(np.random.default_rng(2024), 2000, 16, 8)
+    if name == "bd-mixture":
+        w = np.random.default_rng(2025).uniform(0.25, 1.75, len(x))
+        cfg = LearnerConfig(score=ScoreConfig(kind="bd"))
+        return learn_sem(WeightedDataset(x, w), 2, cfg, np.random.default_rng(7), max_iters=3), cfg.score
+    cfg = LearnerConfig(score=ScoreConfig(kind=name))
+    return learn_cnet(unit_dataset(x), cfg), cfg.score
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def test_learned_model_bytes_are_pinned(name, tmp_path):
+    model, score = _pinned_learn(name)
+    path = tmp_path / "model.json"
+    save_model(str(path), model, score, {"note": "pinned"})
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj.pop("provenance")
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest() == PINNED_MODELS[name]
 
 
 def test_cnet_roundtrip_preserves_density_bitwise(tmp_path):
