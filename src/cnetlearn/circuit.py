@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnet import walk
-from .data import DatasetError, _check_cells
+from .data import _check_cells
 from .mixture import Mixture
 from .numerics import log_sum_exp_rows
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetError, WeightedDataset, _check_cells
+from .data import DatasetError, WeightedDataset, _check_cells, _check_scope
 
 __all__ = [
     "ChowLiuTree",
@@ -272,11 +272,6 @@ def _fitted_tree(d: WeightedDataset, parents, order, beta: float) -> ChowLiuTree
     return ChowLiuTree(d.variable_ids.copy(), parents, order, _fit_cpts(d, parents, beta))
 
 
-def _check_scope(t: ChowLiuTree, d: WeightedDataset) -> None:
-    if t.n_vars != d.n_vars or np.any(t.variable_ids != d.variable_ids):
-        raise DatasetError("dataset variables do not match the tree scope")
-
-
 def clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndarray:
     """Per-row log density of the assignments in `x`.
 
@@ -303,7 +298,7 @@ def clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndar
 def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:
     """Weighted data log-likelihood; -inf only when a required CPT entry
     is exactly zero (possible with beta = 0)."""
-    _check_scope(t, d)
+    _check_scope(t.variable_ids, d, "tree")
     if d.n_rows == 0:
         return 0.0
     rows = clt_log_density_rows(t, d.samples)
@@ -323,7 +318,7 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    _check_scope(t, d)
+    _check_scope(t.variable_ids, d, "tree")
     parents = t.parents[None]
     tables = _family_tables(*_stacked([d.gram_counts()]), parents)
     return float(_bd_scores(tables, parents, alpha)[0])

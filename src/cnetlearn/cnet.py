@@ -24,12 +24,13 @@ import numpy as np
 from .clt import (
     ChowLiuTree,
     _check_distributions,
+    _fitted_tree,
     clt_log_density_rows,
     clt_mpe,
     clt_sample,
     learn_clt,
 )
-from .data import DatasetError, WeightedDataset, _check_cells
+from .data import DatasetError, WeightedDataset, _check_cells, _column, restrict
 from .scores import BIC, CutCandidate, ScoreConfig, evaluate_cut
 
 __all__ = [
@@ -98,10 +99,7 @@ class CutsetNetwork:
         return len(self.variable_ids)
 
     def column_of(self, var: int) -> int:
-        pos = int(np.searchsorted(self.variable_ids, var))
-        if pos >= self.n_vars or self.variable_ids[pos] != var:
-            raise DatasetError(f"variable {var} not in network scope")
-        return pos
+        return _column(self.variable_ids, var, "network")
 
     def validate(self) -> None:
         """Raise DatasetError unless the ids ascend, every decision node has
@@ -200,7 +198,8 @@ def select_best_cut(
 ) -> CutCandidate | None:
     """Best candidate cut of the leaf `leaf_tree` over `d_leaf`, or None
     when no candidate improves the score.  Ties go to the lowest
-    variable id."""
+    variable id.  The cut is only scored (see evaluate_cut); a rejected
+    leaf copies out no rows."""
     if not candidates:
         return None
     best = evaluate_cut(leaf_tree, d_leaf, sorted(candidates), score)
@@ -211,6 +210,11 @@ def learn_cnet(
     d: WeightedDataset, cfg: LearnerConfig, trace: list | None = None
 ) -> CutsetNetwork:
     """Greedy top-down learner.
+
+    Each leaf's candidate cuts are scored without being built.  Only
+    once the best cut is accepted are its two children built: their rows
+    copied out, handed the Gram counts the scoring took on the leaf's
+    rows, and their CPTs fit on the structures it learned.
 
     When `trace` is a list, one record per accepted cut is appended:
     {"var", "delta", "n0", "n1", "depth"}.  The BIC penalty base is
@@ -242,8 +246,10 @@ def learn_cnet(
         weights = np.array([(n0 + h) / denom, (n1 + h) / denom])
         kids[k] = DecisionNode(cut.var, weights, [None, None])
         for b in (1, 0):
-            slot = (kids[k].children, b)
-            pending.append((cut.child_data[b], cut.child_trees[b], depth + 1, slot))
+            part = restrict(dsub, cut.var, b)
+            part._remember(cut.child_grams[b])
+            part_tree = _fitted_tree(part, *cut.child_structures[b], h)
+            pending.append((part, part_tree, depth + 1, (kids[k].children, b)))
 
     return CutsetNetwork(root[0], d.variable_ids.copy())
 

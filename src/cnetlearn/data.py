@@ -72,10 +72,7 @@ class WeightedDataset:
 
     def column(self, var: int) -> int:
         """Column position of global variable `var`."""
-        pos = int(np.searchsorted(self.variable_ids, var))
-        if pos >= self.n_vars or self.variable_ids[pos] != var:
-            raise DatasetError(f"variable {var} not in dataset")
-        return pos
+        return _column(self.variable_ids, var, "dataset")
 
     def gram_counts(self) -> tuple:
         """(total, n1, n11): the total weight, n1[v] the weight of rows
@@ -109,6 +106,22 @@ class WeightedDataset:
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """Same samples, new per-row weights."""
         return WeightedDataset(self.samples, weights, self.variable_ids)
+
+
+def _column(ids: np.ndarray, var: int, scope: str) -> int:
+    """Position of global variable `var` in the ascending `ids` of a
+    `scope` (a dataset, a network)."""
+    pos = int(np.searchsorted(ids, var))
+    if pos >= len(ids) or ids[pos] != var:
+        raise DatasetError(f"variable {var} not in {scope} scope")
+    return pos
+
+
+def _check_scope(ids: np.ndarray, d: WeightedDataset, scope: str) -> None:
+    """Raise DatasetError unless `d`'s variables are exactly `ids`, the
+    variables of a `scope` (a tree, a network, a mixture)."""
+    if len(ids) != d.n_vars or np.any(ids != d.variable_ids):
+        raise DatasetError(f"dataset variables do not match the {scope} scope")
 
 
 def _read_cells(path, free=None) -> np.ndarray:

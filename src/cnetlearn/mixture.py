@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .clt import _check_distributions
-from .cnet import CutsetNetwork, LearnerConfig, cnet_log_density_rows, learn_cnet
-from .data import DatasetError, WeightedDataset
+from .cnet import LearnerConfig, cnet_log_density_rows, learn_cnet
+from .data import DatasetError, WeightedDataset, _check_scope
 from .numerics import log_sum_exp_rows
 
 __all__ = [
@@ -159,8 +159,7 @@ def kmeans_init(d: WeightedDataset, n_clusters: int, rng: np.random.Generator) -
 
 def e_step(m: Mixture, d: WeightedDataset) -> np.ndarray:
     """Responsibility matrix (n_rows, K); rows sum to one."""
-    if d.n_vars != m.n_vars or np.any(d.variable_ids != m.variable_ids):
-        raise DatasetError("dataset variables do not match the mixture scope")
+    _check_scope(m.variable_ids, d, "mixture")
     logm = _component_log_matrix(m, d.samples)
     lse = log_sum_exp_rows(logm)
     dead = np.flatnonzero(lse == -np.inf)

@@ -24,16 +24,14 @@ from . import cnet  # cnet imports this module; walk is read at call time
 from .clt import (
     ChowLiuTree,
     _bd_scores,
-    _check_scope,
     _family_tables,
-    _fitted_tree,
     _ll_scores,
     _stacked,
     _structures,
     clt_param_count,
     learn_clt,  # noqa: F401  kept bound here: benchmarks/test_bench.py wraps it
 )
-from .data import DatasetError, WeightedDataset, _split_gram, restrict
+from .data import DatasetError, WeightedDataset, _check_scope, _split_gram, restrict
 from .numerics import log_beta
 
 __all__ = [
@@ -110,11 +108,6 @@ def bd_sum_node(counts: SumNodeCounts, alpha: float) -> float:
     )
 
 
-def _check_net_scope(net, d: WeightedDataset) -> None:
-    if len(net.variable_ids) != d.n_vars or np.any(net.variable_ids != d.variable_ids):
-        raise DatasetError("dataset variables do not match the network scope")
-
-
 def structure_param_count(net) -> int:
     """Independent parameters of a cutset network: one per decision node
     plus 2d - 1 per leaf over d variables."""
@@ -151,7 +144,7 @@ def _leaf_scores(stack: tuple, parents: np.ndarray, cfg: ScoreConfig) -> np.ndar
 
 def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:
     """One leaf's own term of the configured score; see _leaf_scores."""
-    _check_scope(leaf, d_leaf)
+    _check_scope(leaf.variable_ids, d_leaf, "tree")
     return float(_leaf_scores(_stacked([d_leaf.gram_counts()]), leaf.parents[None], cfg)[0])
 
 
@@ -166,7 +159,7 @@ def _penalty(n_params: int, cfg: ScoreConfig) -> float:
 def _cnet_score(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
     """Configured score of a whole structure: the sum of every node's own
     term over the data routed to it, minus the penalty."""
-    _check_net_scope(net, d)
+    _check_scope(net.variable_ids, d, "network")
 
     nodes = cnet.walk(net.root, d, lambda node, dsub, k: restrict(dsub, node.var, k))
     # bottom-up: done[id(node)] = (score of the subtree, its data's weight)
@@ -199,15 +192,17 @@ def bic_cnet(net, d: WeightedDataset, cfg: ScoreConfig) -> float:
 
 @dataclass
 class CutCandidate:
-    """One evaluated conditioning candidate: the score delta plus the
-    child trees and routed datasets, kept so an accepted cut does not
-    have to relearn anything."""
+    """One scored conditioning candidate: the score delta, the branch
+    counts, and the structure (parents, order) and Gram counts of each
+    child, taken on the leaf's own rows.  Nothing is built for it: the
+    learner copies out a child's rows and fits its CPTs only once the
+    cut is accepted (see cnet.learn_cnet)."""
 
     var: int
     delta: float
     counts: SumNodeCounts
-    child_trees: tuple
-    child_data: tuple
+    child_structures: tuple
+    child_grams: tuple
 
 
 # at most this many Gram cells (children x vars^2) are learned in one
@@ -216,17 +211,15 @@ _STACK_CELLS = 1 << 18
 
 
 def evaluate_cut(
-    leaf: ChowLiuTree, d_leaf: WeightedDataset, var, cfg: ScoreConfig,
-    leaf_score: float | None = None,
+    leaf: ChowLiuTree, d_leaf: WeightedDataset, var, cfg: ScoreConfig
 ) -> CutCandidate:
     """Score change of replacing `leaf` by a decision node on `var` with
     two freshly learned Chow-Liu children.
 
     `var` may also be a list of candidate variables.  Then the children
     of all the cuts are learned together, and the best cut is returned,
-    the first in list order on a tie; only its child datasets are built.
-    A caller that evaluates cuts of one leaf in several calls passes the
-    leaf's own score term as `leaf_score`, so it is computed once."""
+    the first in list order on a tie.  Only scores are computed: no
+    child's rows are copied out and no CPT is fit."""
     variables = [var] if np.ndim(var) == 0 else list(var)
     if leaf.n_vars < 2:
         raise DatasetError("cannot cut a leaf with fewer than two variables")
@@ -235,24 +228,15 @@ def evaluate_cut(
     for v in variables:
         if v not in leaf.variable_ids:
             raise DatasetError(f"variable {v} not in leaf scope")
-    if leaf_score is None:
-        leaf_score = _leaf_score(leaf, d_leaf, cfg)
-    best = None
-    for cut in _scored_cuts(d_leaf, variables, cfg, leaf_score):
-        if best is None or cut[1] > best[1]:
-            best = cut
-    var, delta, counts, children = best
-    return CutCandidate(var, delta, counts, *_built(d_leaf, var, *children, cfg.fit_beta))
+    leaf_score = _leaf_score(leaf, d_leaf, cfg)
+    return max(_scored_cuts(d_leaf, variables, cfg, leaf_score), key=lambda c: c.delta)
 
 
 def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, leaf_score: float):
-    """Yield (var, delta, counts, children) for each variable in turn;
-    children = (structures, Gram counts) of the cut's two children, for
-    _built.
+    """Yield the CutCandidate of each variable in turn.
 
     The children of many cuts are counted on the leaf's own rows and
-    learned and scored as one stack; no child's rows are copied out
-    before its cut is built."""
+    learned and scored as one stack; no child's rows are kept."""
     dvars = d_leaf.n_vars - 1
     step = max(1, _STACK_CELLS // (2 * dvars * dvars))
     for lo in range(0, len(variables), step):
@@ -271,14 +255,4 @@ def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, lea
                 - leaf_score
                 - _penalty(2 * d_leaf.n_vars - 4, cfg)
             )
-            yield var, float(delta), counts, (trees[pair], grams[pair])
-
-
-def _built(d_leaf, var, trees, grams, beta) -> tuple:
-    """(child trees, child datasets) of the cut on `var`: the children's
-    rows are copied out now, and remember the Gram counts taken on the
-    leaf's rows."""
-    parts = [restrict(d_leaf, var, c) for c in (0, 1)]
-    for part, gram in zip(parts, grams):
-        part._remember(gram)
-    return tuple(_fitted_tree(part, *tree, beta) for part, tree in zip(parts, trees)), tuple(parts)
+            yield CutCandidate(var, float(delta), counts, tuple(trees[pair]), tuple(grams[pair]))

@@ -7,6 +7,7 @@ the library's own numerics as their reference.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -31,6 +32,7 @@ from cnetlearn import (
     log_sum_exp_rows,
     mixture_log_density_rows,
     restrict,
+    select_best_candidates,
     structure_param_count,
 )
 from cnetlearn.scores import CutCandidate
@@ -603,7 +605,8 @@ def ref_cut(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> CutCan
         extra_params = 2 * leaf.n_vars - 4
         penalty = 0.5 * math.log(cfg.root_dataset_size) * extra_params
         delta = ll_after - before - penalty
-    return CutCandidate(var, float(delta), counts, (t0, t1), (d0, d1))
+    structures = ((t0.parents, t0.order), (t1.parents, t1.order))
+    return CutCandidate(var, float(delta), counts, structures, (d0.gram_counts(), d1.gram_counts()))
 
 
 def ref_cut_delta(leaf: ChowLiuTree, d_leaf: WeightedDataset, var: int, cfg) -> float:
@@ -628,6 +631,34 @@ def ref_decision_weights(n0: float, n1: float, cfg) -> np.ndarray:
     h = cfg.alpha / 2.0 if cfg.kind != "bic" else cfg.beta
     denom = n0 + n1 + 2 * h
     return np.array([(n0 + h) / denom, (n1 + h) / denom])
+
+
+def ref_learn_cnet(d: WeightedDataset, cfg) -> tuple:
+    """The greedy learner one step at a time, by recursion: candidates
+    ranked by select_best_candidates, each leaf's cut chosen by
+    ref_select_best_cut, an accepted cut's children restricted and
+    learned by ref_learn_clt, its weights by ref_decision_weights, and
+    the BIC penalty base pinned to the root weight.  Returns (the
+    network, one trace record per cut in preorder)."""
+    score = cfg.score
+    if score.kind == "bic":
+        score = dataclasses.replace(score, root_dataset_size=d.total_weight)
+    trace = []
+
+    def grow(dsub, depth):
+        tree = ref_learn_clt(dsub, score.fit_beta)
+        cut = None
+        if dsub.n_vars >= 2 and dsub.total_weight > 0:
+            candidates = select_best_candidates(dsub, cfg.lam)
+            cut = ref_select_best_cut(tree, dsub, candidates, score)
+        if cut is None:
+            return Leaf(tree)
+        n0, n1 = cut.counts.n0, cut.counts.n1
+        trace.append(dict(var=cut.var, delta=cut.delta, n0=n0, n1=n1, depth=depth))
+        kids = [grow(restrict(dsub, cut.var, b), depth + 1) for b in (0, 1)]
+        return DecisionNode(cut.var, ref_decision_weights(n0, n1, score), kids)
+
+    return CutsetNetwork(grow(d, 0), d.variable_ids.copy()), trace
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and inference."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cnetlearn import (
     learn_clt,
     learn_cnet,
     model_to_dict,
+    restrict,
     select_best_candidates,
     select_best_cut,
     structure_param_count,
@@ -135,6 +137,24 @@ def test_select_best_cut_rejects_noise():
     cfg = LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1))
     leaf = learn_clt(d, cfg.score.fit_beta)
     assert select_best_cut(leaf, d, list(range(5)), cfg.score) is None
+
+
+def test_rejected_leaf_copies_no_rows(monkeypatch):
+    # a leaf's cuts are scored without building them, so a root rejected
+    # on noise never copies out a child's rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return restrict(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cnetlearn" and getattr(mod, "restrict", None) is restrict:
+            monkeypatch.setattr(mod, "restrict", counted)
+    d = random_dataset(np.random.default_rng(61), 256, 5)
+    net = learn_cnet(d, LearnerConfig(score=ScoreConfig(kind=BD, alpha=0.1)))
+    assert net.root.kind == "leaf"
+    assert calls == []
 
 
 def test_select_best_cut_takes_positive_delta():

@@ -1,7 +1,8 @@
 """Differential tests: the count-once fast paths against the slow
 per-family, per-variable and per-edge references in helpers.py, the
-kind-agnostic score code against the per-kind BD and BIC references, and
-the stacked cut pass against one learn per child.
+kind-agnostic score code against the per-kind BD and BIC references,
+the stacked cut pass against one learn per child, and the whole learner
+against one that restricts and learns every child one at a time.
 
 Two counts of the same families meet here.  CPTs are fit on
 family_counts, which adds each family's weights in row order, and must
@@ -37,9 +38,9 @@ from cnetlearn.clt import (
     _mi_matrix,
     _stacked,
 )
-from cnetlearn.cnet import _information_gains, information_gain
+from cnetlearn.cnet import _information_gains, information_gain, walk
 from cnetlearn.data import _split_gram
-from cnetlearn.scores import BD, BIC, ScoreConfig, evaluate_cut
+from cnetlearn.scores import BD, BIC, ScoreConfig, _leaf_score, evaluate_cut
 
 from helpers import (
     _ref_refit_ll,
@@ -54,23 +55,29 @@ from helpers import (
     ref_cut,
     ref_gram_family_table,
     ref_information_gain,
+    ref_learn_cnet,
     ref_max_spanning_tree,
     ref_mi_matrix,
     ref_select_best_cut,
+    regime_samples,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def datasets(draw, min_rows=0):
+def datasets(draw, min_rows=0, regimes=False):
     """Small datasets with unit or fractional weights, some zero-weight
-    rows and some constant columns."""
-    n = draw(st.integers(min_rows, 40))
-    d = draw(st.integers(1, 8))
+    rows and some constant columns.  With `regimes`, some are larger
+    draws of regime_samples instead, on which the learner cuts."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    x = (rng.random((n, d)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
+    if regimes and draw(st.booleans()):
+        n, d = draw(st.integers(40, 300)), draw(st.integers(3, 8))
+        x = regime_samples(rng, n, d, flip=draw(st.sampled_from([0.02, 0.1])))
+    else:
+        n, d = draw(st.integers(min_rows, 40)), draw(st.integers(1, 8))
+        x = (rng.random((n, d)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
     for v in range(d):
         if rng.random() < 0.2:
             x[:, v] = rng.integers(0, 2)
@@ -250,9 +257,7 @@ def test_cut_delta_same_with_reference_leaf_score(d, kind):
         before = ref_clt_bd_score(leaf, d, cfg.alpha)
     else:
         before = _ref_refit_ll(leaf, d, cfg.beta)
-    for var in d.variable_ids.tolist():
-        plain = evaluate_cut(leaf, d, var, cfg)
-        assert evaluate_cut(leaf, d, var, cfg, leaf_score=before).delta == plain.delta
+    assert _leaf_score(leaf, d, cfg) == before
 
 
 CONSTANTS = st.sampled_from([0.02, 0.5, 2.0])  # BD alpha or BIC beta
@@ -321,16 +326,10 @@ def _same_cut(got, want) -> None:
     assert got.var == want.var and got.delta == want.delta
     assert (got.counts.n0, got.counts.n1) == (want.counts.n0, want.counts.n1)
     for c in (0, 1):
-        t, r = got.child_trees[c], want.child_trees[c]
-        assert np.array_equal(t.variable_ids, r.variable_ids)
-        assert np.array_equal(t.parents, r.parents) and np.array_equal(t.order, r.order)
-        assert len(t.cpt) == len(r.cpt)
-        assert all(np.array_equal(a, b) for a, b in zip(t.cpt, r.cpt))
-        dc, rc = got.child_data[c], want.child_data[c]
-        assert np.array_equal(dc.samples, rc.samples) and np.array_equal(dc.weights, rc.weights)
-        # the child remembers the counts the next level reads
-        assert np.array_equal(dc.family_counts(t.parents), rc.family_counts(r.parents))
-        assert all(np.array_equal(a, b) for a, b in zip(dc.gram_counts(), rc.gram_counts()))
+        for a, b in zip(got.child_structures[c], want.child_structures[c]):
+            assert np.array_equal(a, b)  # parents, then order
+        # the Gram counts an accepted child is handed, for the next level
+        assert all(np.array_equal(a, b) for a, b in zip(got.child_grams[c], want.child_grams[c]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,3 +359,44 @@ def test_stacked_cuts_equal_one_learn_per_child(d, kind, const, lam, seed):
     _same_cut(best, max((ref_cut(leaf, d, v, cfg) for v in candidates),
                         key=lambda c: c.delta))
     _same_cut(evaluate_cut(leaf, d, candidates[0], cfg), ref_cut(leaf, d, candidates[0], cfg))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_net(got, want) -> None:
+    """Node for node in preorder, every array bit for bit."""
+    assert _same_bits(got.variable_ids, want.variable_ids)
+    nodes, ref_nodes = list(walk(got.root)), list(walk(want.root))
+    assert len(nodes) == len(ref_nodes)
+    for (node, _), (ref, _) in zip(nodes, ref_nodes):
+        assert node.kind == ref.kind
+        if node.kind == "decision":
+            assert node.var == ref.var and _same_bits(node.weights, ref.weights)
+            continue
+        t, r = node.tree, ref.tree
+        assert _same_bits(t.variable_ids, r.variable_ids)
+        assert _same_bits(t.parents, r.parents) and _same_bits(t.order, r.order)
+        assert len(t.cpt) == len(r.cpt) and all(map(_same_bits, t.cpt, r.cpt))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    datasets(min_rows=1, regimes=True),
+    st.sampled_from([BD, BIC]),
+    CONSTANTS,
+    st.sampled_from([1, 3, 100]),
+)
+def test_learner_equals_one_step_at_a_time_reference(d, kind, const, lam):
+    # unit, fractional and zero weights; only accepted cuts build children
+    if d.total_weight <= 0:
+        return
+    score = ScoreConfig(kind=BD, alpha=const) if kind == BD else ScoreConfig(kind=BIC, beta=const)
+    cfg = LearnerConfig(score=score, lam=lam)
+    trace = []
+    net = learn_cnet(d, cfg, trace=trace)
+    want, want_trace = ref_learn_cnet(d, cfg)
+    _same_net(net, want)
+    assert trace == want_trace

@@ -11,6 +11,7 @@ from cnetlearn import (
     BD,
     BIC,
     DatasetError,
+    DecisionNode,
     ScoreConfig,
     SumNodeCounts,
     WeightedDataset,
@@ -22,6 +23,7 @@ from cnetlearn import (
     evaluate_cut,
     learn_clt,
     learn_cnet,
+    restrict,
     structure_param_count,
     LearnerConfig,
     Leaf,
@@ -177,14 +179,11 @@ def test_bd_cut_locality():
     before = bd_cnet(before_net, d, cfg.alpha)
     for var in range(4):
         cand = evaluate_cut(tree, d, var, cfg)
-        from cnetlearn import DecisionNode
-
+        children = [learn_clt(restrict(d, var, c), cfg.fit_beta) for c in (0, 1)]
+        for child, (parents, _) in zip(children, cand.child_structures):
+            assert np.array_equal(child.parents, parents)
         after_net = CutsetNetwork(
-            DecisionNode(
-                var,
-                np.array([0.5, 0.5]),
-                (Leaf(cand.child_trees[0]), Leaf(cand.child_trees[1])),
-            ),
+            DecisionNode(var, np.array([0.5, 0.5]), [Leaf(c) for c in children]),
             d.variable_ids.copy(),
         )
         after = bd_cnet(after_net, d, cfg.alpha)
@@ -260,13 +259,11 @@ def test_cut_delta_scope2_bic_has_no_penalty_term():
     cfg = ScoreConfig(kind=BIC, beta=0.0, root_dataset_size=6.0)
     leaf = learn_clt(d, 0.0)
     cand = evaluate_cut(leaf, d, 0, cfg)
-    from cnetlearn import restrict
-
+    parts = [restrict(d, 0, c) for c in (0, 1)]
     ll_after = (
         cand.counts.n0 * math.log(cand.counts.n0 / 6.0)
         + cand.counts.n1 * math.log(cand.counts.n1 / 6.0)
-        + clt_log_likelihood(cand.child_trees[0], restrict(d, 0, 0))
-        + clt_log_likelihood(cand.child_trees[1], restrict(d, 0, 1))
+        + sum(clt_log_likelihood(learn_clt(part, 0.0), part) for part in parts)
     )
     ll_before = clt_log_likelihood(leaf, d)
     # the delta is analytically 0 here, so a relative bound cannot hold;
