@@ -114,7 +114,8 @@ def _mi_matrix(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray
     m datasets, from their Gram counts: total (m,), n1 (m, d) and n11
     (m, d, d).  Zero for a zero-weight dataset.  The (a, b) cells of the
     pair tables are formed and used one at a time, in place where that
-    keeps the bits, so the temporaries are a few stacks' size."""
+    keeps the bits, so the temporaries are a few stacks' size.  Counts
+    are exact (see WeightedDataset), so no cell is negative."""
     live = total > 0
     total = np.where(live, total, 1.0)[:, None, None]
     pi1 = n1 / total[:, 0]
@@ -129,8 +130,7 @@ def _mi_matrix(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray
     mi = np.zeros(n11.shape)
     for a in range(2):
         for b in range(2):
-            pab = np.clip(cells[a, b](), 0.0, None)  # guard tiny negative rounding
-            pab /= total
+            pab = cells[a, b]() / total
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = np.log(pab)
                 term -= np.log(pi[a][:, :, None] * pi[b][:, None, :])
@@ -224,10 +224,10 @@ def _structures(stack: tuple) -> list:
 def _family_tables(total: np.ndarray, n1: np.ndarray, n11: np.ndarray, parents) -> np.ndarray:
     """(m, d, 2, 2) family counts of m trees, read off the Gram counts of
     their datasets (see _stacked) with (m, d) parents: table[k, v, u, x]
-    is the weight of rows with x_v = x and x_parent = u, the same as
-    family_counts up to rounding.  A root reads as a child of a parent
-    that is always 0, so its row 1 is all zero.  Tiny negative rounding
-    is clipped to 0, as in _mi_matrix."""
+    is the weight of rows with x_v = x and x_parent = u.  Counts are
+    exact (see WeightedDataset), so each entry is that weight to the
+    last bit.  A root reads as a child of a parent that is always 0, so
+    its row 1 is all zero."""
     m, dvars = n1.shape
     k, v = np.arange(m)[:, None], np.arange(dvars)
     root = parents < 0
@@ -238,17 +238,23 @@ def _family_tables(total: np.ndarray, n1: np.ndarray, n11: np.ndarray, parents) 
     table[:, :, 1, 0] = n1p - n11vp
     table[:, :, 0, 1] = n1 - n11vp
     table[:, :, 0, 0] = total[:, None] - n1 - n1p + n11vp
-    return np.clip(table, 0.0, None, out=table)
+    return table
+
+
+def _smoothed(counts: np.ndarray, beta: float) -> np.ndarray:
+    """The distribution (n_x + beta) / (n + 2 beta) of each (..., 2) row
+    of counts n_x with sum n, or uniform where that denominator is 0:
+    the maximum-likelihood fit with additive smoothing `beta`."""
+    denom = counts[..., :1] + counts[..., 1:] + 2.0 * beta
+    theta = (counts + beta) / np.where(denom > 0, denom, 1.0)
+    theta[np.broadcast_to(denom <= 0, theta.shape)] = 0.5
+    return theta
 
 
 def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> list:
-    """Maximum-likelihood CPTs with additive smoothing `beta`, for a fixed
-    tree structure over exactly the dataset's variables: each row is
-    (n_x + beta) / (n + 2 beta), or uniform when that denominator is 0."""
-    table = d.family_counts(parents)
-    denom = table[:, :, 0] + table[:, :, 1] + 2.0 * beta
-    rows = (table + beta) / np.where(denom > 0, denom, 1.0)[:, :, None]
-    rows[denom <= 0] = 0.5
+    """CPTs smoothed by `beta` (see _smoothed) for a fixed tree structure
+    over exactly the dataset's variables."""
+    rows = _smoothed(_family_tables(*_stacked([d.gram_counts()]), parents[None])[0], beta)
     return [rows[v, :1] if p < 0 else rows[v] for v, p in enumerate(parents.tolist())]
 
 
@@ -351,11 +357,9 @@ def _ll_scores(tables: np.ndarray, parents: np.ndarray, beta: float) -> np.ndarr
     and (m, d) parents: the sum of n log theta over the CPT cells, in
     _bd_scores' order, cell x = 0 before x = 1.  An empty cell adds 0."""
     rows = _cpt_rows(tables, parents)
-    denom = rows[:, :, :1] + rows[:, :, 1:] + 2.0 * beta
     live = rows > 0
     terms = np.zeros(rows.shape)
-    theta = (rows + beta)[live] / np.broadcast_to(denom, rows.shape)[live]
-    terms[live] = rows[live] * _log(theta)
+    terms[live] = rows[live] * _log(_smoothed(rows, beta)[live])
     return np.cumsum(terms.reshape(len(rows), -1), axis=1)[:, -1]
 
 

@@ -25,6 +25,7 @@ from .clt import (
     ChowLiuTree,
     _check_distributions,
     _fitted_tree,
+    _smoothed,
     clt_log_density_rows,
     clt_mpe,
     clt_sample,
@@ -242,9 +243,7 @@ def learn_cnet(
         n0, n1, h = cut.counts.n0, cut.counts.n1, score.fit_beta
         if trace is not None:
             trace.append(dict(var=cut.var, delta=cut.delta, n0=n0, n1=n1, depth=depth))
-        denom = n0 + n1 + 2 * h
-        weights = np.array([(n0 + h) / denom, (n1 + h) / denom])
-        kids[k] = DecisionNode(cut.var, weights, [None, None])
+        kids[k] = DecisionNode(cut.var, _smoothed(np.array([n0, n1]), h), [None, None])
         for b in (1, 0):
             part = restrict(dsub, cut.var, b)
             part._remember(cut.child_grams[b])

@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["WeightedDataset", "load_csv", "save_csv", "restrict"]
 
+_GRID = 2.0**32  # weights are multiples of 1 / _GRID
+_MAX_TOTAL = 2.0**21  # so a count times _GRID stays below 2^53
+
 
 class DatasetError(ValueError):
     """Malformed dataset file or inconsistent dataset arguments."""
@@ -24,7 +27,9 @@ class WeightedDataset:
     """Binary sample matrix with per-row weights.
 
     samples       -- (n_rows, n_vars) array of {0,1}, dtype uint8
-    weights       -- (n_rows,) nonnegative reals
+    weights       -- (n_rows,) nonnegative reals, rounded to the nearest
+                     multiple of 2^-32 and summing to less than 2^21, so
+                     that every count is exact in any order of addition
     variable_ids  -- global variable index of each column, strictly increasing
 
     Counts are memoized per instance, so a dataset must not be changed
@@ -34,7 +39,7 @@ class WeightedDataset:
     samples: np.ndarray
     weights: np.ndarray
     variable_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.uint8)
@@ -53,6 +58,11 @@ class WeightedDataset:
             raise DatasetError("weights must be nonnegative")
         if not np.isfinite(self.weights).all():
             raise DatasetError("weights must be finite")
+        self.weights = np.round(self.weights * _GRID) / _GRID
+        if self.total_weight >= _MAX_TOTAL:
+            raise DatasetError(
+                f"total weight {self.total_weight} is not below 2^21, the limit of exact counts"
+            )
         if self.variable_ids.shape != (self.samples.shape[1],):
             raise DatasetError("need exactly one variable id per column")
         if self.samples.shape[1] > 0 and np.any(np.diff(self.variable_ids) <= 0):
@@ -77,31 +87,13 @@ class WeightedDataset:
     def gram_counts(self) -> tuple:
         """(total, n1, n11): the total weight, n1[v] the weight of rows
         with x_v = 1 and n11[u, v] the weight of rows with x_u = x_v = 1."""
-        got = self._counts.get("gram")
-        if got is None:
-            got = self._counts["gram"] = _gram(self.samples, self.weights)
-        return got
-
-    def family_counts(self, parents: np.ndarray) -> np.ndarray:
-        """Read-only (n_vars, 2, 2) table: table[v, u, x] is the weight of
-        rows with x_v = x and x_parents[v] = u (u = 0 at a root).  bincount
-        adds the weights in row order, so each entry is their sequential sum."""
-        key = parents.tobytes()
-        table = self._counts.get(key)
-        if table is None:
-            table = np.zeros((self.n_vars, 2, 2))  # a bincount of no rows is +0.0
-            for v, p in enumerate(parents.tolist() if self.n_rows else ()):
-                xv = self.samples[:, v]
-                code = xv if p < 0 else 2 * self.samples[:, p] + xv
-                table[v] = np.bincount(code, self.weights, minlength=4).reshape(2, 2)
-            table.flags.writeable = False
-            self._counts[key] = table
-        return table
+        if self._memo is None:
+            self._memo = _gram(self.samples, self.weights)
+        return self._memo
 
     def _remember(self, gram: tuple) -> None:
-        """Memoize Gram counts of this dataset computed elsewhere from its
-        rows, bit for bit what gram_counts() gives."""
-        self._counts["gram"] = gram
+        """Memoize Gram counts of this dataset computed elsewhere from its rows."""
+        self._memo = gram
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """Same samples, new per-row weights."""
@@ -190,10 +182,14 @@ def load_csv(path) -> WeightedDataset:
     """Load a comma-separated 0/1 file into a unit-weight dataset.
 
     Raises DatasetError with the offending line number on malformed
-    tokens, ragged rows, or an empty file.
+    tokens, ragged rows, or an empty file, and one naming the file when
+    it has too many rows for exact counts.
     """
     cells = _read_cells(path)
-    return WeightedDataset(cells, np.ones(cells.shape[0]))
+    try:
+        return WeightedDataset(cells, np.ones(cells.shape[0]))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def save_csv(dataset: WeightedDataset, path) -> None:
@@ -231,8 +227,7 @@ def _split(d: WeightedDataset, pos: int, value: int) -> tuple:
 
 def _gram(samples: np.ndarray, weights: np.ndarray) -> tuple:
     """(total, n1, n11) of a sample matrix by one weighted Gram product;
-    see WeightedDataset.gram_counts.  The product's bits depend on the
-    layout of its inputs, so `x` is always in C order."""
+    see WeightedDataset.gram_counts."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     n11 = (x * weights[:, None]).T @ x
     return float(weights.sum()), np.diag(n11).copy(), n11
@@ -240,7 +235,6 @@ def _gram(samples: np.ndarray, weights: np.ndarray) -> tuple:
 
 def _split_gram(d: WeightedDataset, pos: int, value: int) -> tuple:
     """gram_counts of restrict(d, the variable at `pos`, value), from a
-    copy of its rows that is dropped at once.  The product gets the inputs
-    that dataset would give it, so the counts are the same bits."""
+    copy of its rows that is dropped at once."""
     mask, keep = _split(d, pos, value)
     return _gram(d.samples[mask][:, keep], d.weights[mask])

@@ -180,25 +180,24 @@ def m_step(d: WeightedDataset, gamma: np.ndarray, cfg: LearnerConfig) -> Mixture
     """Relearn every component on responsibility-weighted data; mixture
     weights become the responsibility masses.
 
-    A component with zero responsibility mass is restarted on the single
-    most ambiguous row (highest responsibility entropy) with unit
-    weight; its mixture weight stays zero.
+    A component whose responsibility mass is zero on the weight grid
+    (see WeightedDataset) is restarted on the single most ambiguous row
+    (highest responsibility entropy) with unit weight; its mixture weight
+    stays zero.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.ndim != 2 or gamma.shape[0] != d.n_rows:
         raise ValueError("responsibility matrix shape mismatch")
     if np.any(gamma < 0) or np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-8):
         raise ValueError("responsibility rows must sum to one")
-    if not d.total_weight > 0:
-        raise DatasetError("cannot fit a mixture to a zero-weight dataset")
 
-    weighted = d.weights[:, None] * gamma
-    mass = np.maximum(weighted.sum(axis=0), 0.0)
+    parts = [d.with_weights(d.weights * g) for g in gamma.T]
+    mass = np.array([dk.total_weight for dk in parts])
+    if not mass.sum() > 0:
+        raise DatasetError("cannot fit a mixture: every component's weight rounds to zero")
     components = []
-    for k in range(gamma.shape[1]):
-        if mass[k] > 0:
-            dk = d.with_weights(weighted[:, k].copy())
-        else:
+    for dk in parts:
+        if not dk.total_weight > 0:
             r = int(np.argmax(_row_entropies(gamma)))
             dk = WeightedDataset(
                 d.samples[r : r + 1].copy(),

@@ -26,6 +26,7 @@ from .clt import (
     _bd_scores,
     _family_tables,
     _ll_scores,
+    _smoothed,
     _stacked,
     _structures,
     clt_param_count,
@@ -121,14 +122,12 @@ def structure_param_count(net) -> int:
 def _branch_term(counts: SumNodeCounts, cfg: ScoreConfig) -> float:
     """A decision node's own term of the configured score: the BD score
     of its branch counts, or their log-likelihood n0 log w0 + n1 log w1
-    at the smoothed ML weights."""
+    at the smoothed ML weights (an empty branch adds 0)."""
     if cfg.kind == BD:
         return bd_sum_node(counts, cfg.alpha)
-    ll = 0.0
-    for nk in (counts.n0, counts.n1):
-        if nk > 0:
-            ll += nk * math.log((nk + cfg.beta) / (counts.total + 2 * cfg.beta))
-    return ll
+    n = (counts.n0, counts.n1)
+    w = _smoothed(np.array(n), cfg.beta).tolist()
+    return sum((nk * math.log(wk) for nk, wk in zip(n, w) if nk > 0), 0.0)
 
 
 def _leaf_scores(stack: tuple, parents: np.ndarray, cfg: ScoreConfig) -> np.ndarray:

@@ -4,12 +4,12 @@ kind-agnostic score code against the per-kind BD and BIC references,
 the stacked cut pass against one learn per child, and the whole learner
 against one that restricts and learns every child one at a time.
 
-Two counts of the same families meet here.  CPTs are fit on
-family_counts, which adds each family's weights in row order, and must
-equal the np.add.at reference exactly.  Scores read their family tables
-off the Gram counts, as ref_gram_family_table does one cell at a time;
-an oracle test holds those tables to a per-family np.add.at count,
-exactly on unit weights and to 1e-12 of the total weight otherwise.
+Families are counted one way: CPTs and scores both read their family
+tables off the Gram counts, as ref_gram_family_table does one cell at a
+time.  Weights lie on a grid on which every count is exact (see
+WeightedDataset), so an oracle test holds those tables equal to a
+per-family np.add.at count in row order, for unit, fractional and zero
+weights alike, and the counts do not depend on the order of the rows.
 Scores must agree with their references exactly, because the learner's
 accept rule compares a score delta with 0 and can hinge on the last bit.
 The information gain sums in another order, so it agrees to 1e-12.
@@ -218,19 +218,23 @@ def test_gram_family_tables_equal_add_at_counts(ds, dvars, seed):
     assert tables.shape == (len(ds), dvars, 2, 2)
     assert np.all(tables >= 0.0)
     for k, d in enumerate(ds):
-        total = d.total_weight
         for v, p in enumerate(parents[k].tolist()):
             got = tables[k, v]
             assert np.array_equal(got, ref_gram_family_table(d, v, p))
-            want = _add_at_table(d, v, p)
-            if np.all(d.weights == 1.0):
-                assert np.array_equal(got, want)
-            else:
-                assert np.all(np.abs(got - want) <= 1e-12 * total)
+            assert np.array_equal(got, _add_at_table(d, v, p))
             if p < 0:
                 assert np.array_equal(got[1], [0.0, 0.0]) and not np.signbit(got[1]).any()
         if d.n_rows == 0:
             assert np.all(tables[k] == 0.0) and not np.signbit(tables[k]).any()
+
+
+@SETTINGS
+@given(datasets(), st.integers(0, 2**32 - 1))
+def test_counts_do_not_depend_on_the_order_of_the_rows(d, seed):
+    perm = np.random.default_rng(seed).permutation(d.n_rows)
+    shuffled = WeightedDataset(d.samples[perm], d.weights[perm], d.variable_ids)
+    for a, b in zip(d.gram_counts(), shuffled.gram_counts()):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @SETTINGS
@@ -287,7 +291,7 @@ def test_cut_delta_equals_per_kind_reference(d, kind, const):
 
 
 @settings(max_examples=80, deadline=None)
-@given(datasets(), st.sampled_from([BD, BIC]), CONSTANTS, st.integers(0, 99))
+@given(datasets(regimes=True), st.sampled_from([BD, BIC]), CONSTANTS, st.integers(0, 99))
 def test_net_scores_equal_per_kind_reference(d, kind, const, seed):
     nets = [random_net(np.random.default_rng(seed), d.variable_ids, 4)]
     if d.total_weight > 0:
@@ -301,7 +305,7 @@ def test_net_scores_equal_per_kind_reference(d, kind, const, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(datasets(min_rows=2), st.sampled_from([BD, BIC]), CONSTANTS)
+@given(datasets(min_rows=2, regimes=True), st.sampled_from([BD, BIC]), CONSTANTS)
 def test_decision_weights_equal_per_kind_reference(d, kind, const):
     if d.total_weight <= 0:
         return

@@ -1,5 +1,8 @@
 """Dataset container, CSV round trips, and restriction."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cnetlearn
 from cnetlearn import (
     DatasetError,
     WeightedDataset,
@@ -156,6 +160,56 @@ def test_with_weights():
     assert np.array_equal(d2.variable_ids, d.variable_ids)
 
 
+def test_weights_are_snapped_to_the_grid():
+    w = np.array([1.0, 1 / 3, 2.5, 0.0, 1e-12, 2.0**-33 * 3])
+    d = WeightedDataset(np.zeros((6, 1)), w)
+    assert np.array_equal(d.weights * 2**32, np.round(w * 2**32))
+    assert np.array_equal(d.weights[[0, 2, 3]], [1.0, 2.5, 0.0])
+    assert d.weights[4] == 0.0 and d.weights[5] == 2.0**-31  # ties round to even
+    assert np.array_equal(d.with_weights(d.weights).weights, d.weights)
+
+
+def test_total_weight_must_be_below_the_exact_count_limit():
+    below = np.array([2.0**20, 2.0**20 - 2.0**-32])
+    assert WeightedDataset(np.zeros((2, 1)), below).total_weight == 2.0**21 - 2.0**-32
+    for w in ([2.0**20, 2.0**20], [2.0**22]):
+        with pytest.raises(DatasetError, match=r"2\^21"):
+            WeightedDataset(np.zeros((len(w), 1)), np.array(w))
+
+
+def test_load_csv_names_a_file_too_large_for_exact_counts(tmp_path, monkeypatch):
+    p = tmp_path / "big.csv"
+    p.write_text("0,1\n" * 4)
+    monkeypatch.setattr(cnetlearn.data, "_MAX_TOTAL", 4.0)  # stands in for 2^21 rows
+    with pytest.raises(DatasetError, match=r"big\.csv: total weight 4\.0 is not below"):
+        load_csv(p)
+
+
+_GRAM_DIGEST = """
+import hashlib
+import numpy as np
+from cnetlearn import WeightedDataset
+rng = np.random.default_rng(5)
+x = (rng.random((10_000, 40)) < 0.3).astype(np.uint8)
+total, n1, n11 = WeightedDataset(x, rng.random(10_000)).gram_counts()
+print(hashlib.sha256(np.float64(total).tobytes() + n1.tobytes() + n11.tobytes()).hexdigest())
+"""
+
+
+def test_gram_counts_do_not_depend_on_the_blas_thread_count():
+    # the BLAS splits a product's sums differently per thread count;
+    # counts on the weight grid are exact, so the bits cannot move
+    src = str(Path(cnetlearn.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _GRAM_DIGEST], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 def test_restrict_examples():
     d = unit_dataset([[1, 0], [0, 1], [1, 1]])
     r = restrict(d, 0, 1)
@@ -194,15 +248,3 @@ def test_restrict_rejects_bad_value():
     d = unit_dataset([[0, 1]])
     with pytest.raises(DatasetError):
         restrict(d, 0, 2)
-
-
-def test_family_counts_of_no_rows_is_the_loops_zero_table():
-    d = WeightedDataset(np.zeros((0, 4), dtype=np.uint8), np.zeros(0))
-    parents = np.array([-1, 0, 1, 1])
-    table = d.family_counts(parents)
-    # what one bincount per variable gives on no rows: +0.0 everywhere
-    nothing = np.bincount(np.zeros(0, dtype=np.uint8), np.zeros(0), minlength=4)
-    assert np.array_equal(table, np.stack([nothing.reshape(2, 2)] * 4))
-    assert not np.signbit(table).any()
-    assert not table.flags.writeable
-    assert d.family_counts(parents) is table

@@ -226,6 +226,20 @@ def test_m_step_weights_are_responsibility_masses():
     m.components[1].validate()
 
 
+def test_m_step_restarts_a_component_whose_weights_round_to_zero():
+    # 1e-12 of a unit row is below half the weight grid's step 2^-32
+    rng = np.random.default_rng(612)
+    d = random_dataset(rng, 12, 3)
+    gamma = np.column_stack([np.full(12, 1 - 1e-12), np.full(12, 1e-12)])
+    m = m_step(d, gamma, LearnerConfig())
+    assert np.array_equal(m.mix_weights, [1.0, 0.0])
+    # every row is equally ambiguous, so the restart takes the first
+    restart = learn_cnet(WeightedDataset(d.samples[:1], np.ones(1)), LearnerConfig())
+    cfg = ScoreConfig()
+    got = json.dumps(model_to_dict(m.components[1], cfg), sort_keys=True)
+    assert got == json.dumps(model_to_dict(restart, cfg), sort_keys=True)
+
+
 def test_m_step_uniform_responsibilities_tie_components():
     rng = np.random.default_rng(609)
     d = random_dataset(rng, 30, 4)
@@ -250,6 +264,12 @@ def test_m_step_validation():
     bad[:, 1] = -0.2
     with pytest.raises(ValueError):
         m_step(d, bad, LearnerConfig())
+    # no weight, or weights so small that every component's share rounds
+    # to zero on the grid, leave no component to fit
+    for w in (0.0, 2.0**-32):
+        tiny = d.with_weights(np.full(10, w))
+        with pytest.raises(DatasetError, match="rounds to zero"):
+            m_step(tiny, np.full((10, 2), 0.5), LearnerConfig())
 
 
 # ---------------------------------------------------------------------------
