@@ -172,9 +172,7 @@ def _cnet_root(net):
                     parts = [IndicatorLeaf(gid, x)]
                     parts.extend(msg[(c, x)] for c in kids[v])
                     prods.append(ProductNode(parts))
-                msg[(v, u)] = SumNode(
-                    prods, np.array(tree.cpt[v][u], dtype=np.float64)
-                )
+                msg[(v, u)] = SumNode(prods, tree.cpt[v, u].copy())
         return msg[(int(tree.root), 0)]
 
     done = {}  # id(net node) -> compiled circuit node, children first

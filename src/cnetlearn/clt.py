@@ -35,14 +35,16 @@ class ChowLiuTree:
     variable_ids -- global ids of the scope, ascending
     parents      -- local parent index per variable, -1 for the root
     order        -- topological order of local indices, root first
-    cpt          -- cpt[v][u, x] = P(X_v = x | parent = u); the root table
-                    has a single row
+    cpt          -- float64 (d, 2, 2) array, cpt[v, u, x] = P(X_v = x |
+                    parent = u); the root reads row u = 0 as the child of
+                    a parent that is always 0, and its row 1, never read,
+                    holds (0.5, 0.5)
     """
 
     variable_ids: np.ndarray
     parents: np.ndarray
     order: np.ndarray
-    cpt: list
+    cpt: np.ndarray
 
     @property
     def n_vars(self) -> int:
@@ -59,10 +61,10 @@ class ChowLiuTree:
                 kids[p].append(v)
         return kids
 
-    def _check_structure(self) -> None:
+    def validate(self) -> None:
         """Raise DatasetError unless the order lists every variable once,
-        one root first and parents before children, and the CPT tables are
-        1x2 at the root and 2x2 elsewhere."""
+        one root first and parents before children, the CPT is a (d, 2, 2)
+        array and every one of its rows is a distribution."""
         d = self.n_vars
         if self.parents.shape != (d,) or self.order.shape != (d,):
             raise DatasetError("a tree needs a parent and an order entry per variable")
@@ -74,15 +76,9 @@ class ChowLiuTree:
             if parents[v] not in placed:
                 raise DatasetError("a tree order must place parents before children")
             placed.add(v)
-        shapes = [t.shape for t in self.cpt]
-        if shapes != [(1, 2) if p < 0 else (2, 2) for p in parents]:
-            raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
-
-    def validate(self) -> None:
-        """Raise DatasetError if any structural invariant is broken or a
-        CPT row is not a distribution."""
-        self._check_structure()
-        _check_distributions(np.concatenate(self.cpt))
+        if self.cpt.shape != (d, 2, 2):
+            raise DatasetError("a tree's CPT must be one (d, 2, 2) array")
+        _check_distributions(self.cpt.reshape(-1, 2))
 
 
 def _check_distributions(rows: np.ndarray) -> None:
@@ -180,12 +176,6 @@ def _max_spanning_trees(mi: np.ndarray) -> list:
     return [[(i, j) for _, i, j in tree] for tree in edges.tolist()]
 
 
-def _max_spanning_tree(mi: np.ndarray) -> list:
-    """Kruskal's maximum spanning tree of one (d, d) MI matrix; see
-    _max_spanning_trees."""
-    return _max_spanning_trees(mi[None])[0]
-
-
 def _orient(dvars: int, edges: list):
     """Root at local index 0 and direct all edges away from it."""
     adj = [[] for _ in range(dvars)]
@@ -251,11 +241,11 @@ def _smoothed(counts: np.ndarray, beta: float) -> np.ndarray:
     return theta
 
 
-def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> list:
-    """CPTs smoothed by `beta` (see _smoothed) for a fixed tree structure
-    over exactly the dataset's variables."""
-    rows = _smoothed(_family_tables(*_stacked([d.gram_counts()]), parents[None])[0], beta)
-    return [rows[v, :1] if p < 0 else rows[v] for v, p in enumerate(parents.tolist())]
+def _fit_cpts(d: WeightedDataset, parents: np.ndarray, beta: float) -> np.ndarray:
+    """The (d, 2, 2) CPT smoothed by `beta` (see _smoothed) for a fixed
+    tree structure over exactly the dataset's variables.  A root's row 1
+    has no counts, so it comes out (0.5, 0.5)."""
+    return _smoothed(_family_tables(*_stacked([d.gram_counts()]), parents[None])[0], beta)
 
 
 def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
@@ -270,34 +260,24 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
     if d.n_vars < 1:
         raise DatasetError("learn_clt needs at least one variable")
     ((parents, order),) = _structures(_stacked([d.gram_counts()]))
-    return _fitted_tree(d, parents, order, beta)
-
-
-def _fitted_tree(d: WeightedDataset, parents, order, beta: float) -> ChowLiuTree:
-    """The tree of this structure over d's scope, its CPTs fit on d."""
     return ChowLiuTree(d.variable_ids.copy(), parents, order, _fit_cpts(d, parents, beta))
 
 
 def clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndarray:
-    """Per-row log density of the assignments in `x`.
+    """Per-row log density of the assignments in `x`, an integer matrix.
 
     `columns[v]` gives the column of x holding tree-local variable v;
-    by default the columns are the tree scope in order.
+    by default the columns are the tree scope in order.  Terms are added
+    in tree order, one variable at a time.
     """
     if columns is None:
         columns = np.arange(t.n_vars)
-    n = x.shape[0]
-    ll = np.zeros(n)
-    for v in t.order:
-        with np.errstate(divide="ignore"):
-            logrows = np.log(t.cpt[v])
-        xv = x[:, columns[v]].astype(np.int64)
-        p = t.parents[v]
-        if p < 0:
-            ll += logrows[0, xv]
-        else:
-            xu = x[:, columns[p]].astype(np.int64)
-            ll += logrows[xu, xv]
+    with np.errstate(divide="ignore"):
+        logcpt = np.log(t.cpt)
+    ll = np.zeros(x.shape[0])
+    for v, p in zip(t.order.tolist(), t.parents[t.order].tolist()):
+        u = 0 if p < 0 else x[:, columns[p]]
+        ll += logcpt[v, u, x[:, columns[v]]]
     return ll
 
 
@@ -325,23 +305,15 @@ def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_scope(t.variable_ids, d, "tree")
-    parents = t.parents[None]
-    tables = _family_tables(*_stacked([d.gram_counts()]), parents)
-    return float(_bd_scores(tables, parents, alpha)[0])
+    tables = _family_tables(*_stacked([d.gram_counts()]), t.parents[None])
+    return float(_bd_scores(tables, alpha)[0])
 
 
-def _cpt_rows(tables: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """(m, 2d - 1, 2) counts of every CPT row of m trees, by variable, from
-    their (m, d, 2, 2) family counts and (m, d) parents."""
-    has_row = np.ones(tables.shape[:3], dtype=bool)
-    has_row[:, :, 1] = parents >= 0
-    return tables[has_row].reshape(len(tables), -1, 2)
-
-
-def _bd_scores(tables: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
+def _bd_scores(tables: np.ndarray, alpha: float) -> np.ndarray:
     """clt_bd_score of each of m trees over the same number of variables,
-    from their (m, d, 2, 2) family counts and (m, d) parents."""
-    rows = _cpt_rows(tables, parents)
+    from their (m, d, 2, 2) family counts, one term per CPT row by
+    variable.  A root's row 1 has no counts, so its term is exactly 0."""
+    rows = tables.reshape(len(tables), -1, 2)
     half = alpha / 2
     terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, :, 0] + rows[:, :, 1]))
     terms += _lgamma(half + rows[:, :, 0]) - math.lgamma(half)
@@ -351,12 +323,12 @@ def _bd_scores(tables: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndar
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _ll_scores(tables: np.ndarray, parents: np.ndarray, beta: float) -> np.ndarray:
+def _ll_scores(tables: np.ndarray, beta: float) -> np.ndarray:
     """Weighted log-likelihood of each of m trees at the CPTs that _fit_cpts
-    would give with smoothing `beta`, from their (m, d, 2, 2) family counts
-    and (m, d) parents: the sum of n log theta over the CPT cells, in
-    _bd_scores' order, cell x = 0 before x = 1.  An empty cell adds 0."""
-    rows = _cpt_rows(tables, parents)
+    would give with smoothing `beta`, from their (m, d, 2, 2) family
+    counts: the sum of n log theta over the CPT cells, in _bd_scores'
+    order, cell x = 0 before x = 1.  An empty cell adds 0."""
+    rows = tables.reshape(len(tables), -1, 2)
     live = rows > 0
     terms = np.zeros(rows.shape)
     terms[live] = rows[live] * _log(_smoothed(rows, beta)[live])
@@ -367,10 +339,9 @@ def clt_sample(t: ChowLiuTree, n: int, rng: np.random.Generator) -> np.ndarray:
     """n ancestral samples, one row each in scope (variable_ids) order;
     each variable is drawn for all rows at once, in tree order."""
     values = np.zeros((n, t.n_vars), dtype=np.uint8)
-    for v in t.order:
-        p = t.parents[v]
-        p1 = t.cpt[v][0, 1] if p < 0 else t.cpt[v][values[:, p], 1]
-        values[:, v] = rng.random(n) < p1
+    for v, p in zip(t.order.tolist(), t.parents[t.order].tolist()):
+        u = 0 if p < 0 else values[:, p]
+        values[:, v] = rng.random(n) < t.cpt[v, u, 1]
     return values
 
 
@@ -386,7 +357,7 @@ def clt_mpe(t: ChowLiuTree, evidence: np.ndarray) -> tuple:
     ev = _check_cells(evidence, t.n_vars, cells=(-1, 0, 1))
     kids = t.children()
     with np.errstate(divide="ignore"):
-        logcpt = [np.log(c) for c in t.cpt]
+        logcpt = np.log(t.cpt)
     # msg[v][r, u]: best log score of v's subtree in row r given parent
     # value u; pick[v][r, u]: the value of v that attains it
     msg, pick = {}, {}
@@ -394,7 +365,7 @@ def clt_mpe(t: ChowLiuTree, evidence: np.ndarray) -> tuple:
         s = logcpt[v][None]  # s[r, u, x], summed in the order of the kids
         for c in kids[v]:
             s = s + msg[c][:, None, :]
-        s = np.broadcast_to(s, (ev.shape[0],) + logcpt[v].shape)
+        s = np.broadcast_to(s, (ev.shape[0], 2, 2))
         obs = ev[:, v, None]
         pick[v] = np.where(obs < 0, s[..., 1] > s[..., 0], obs == 1)
         msg[v] = np.where(pick[v], s[..., 1], s[..., 0])

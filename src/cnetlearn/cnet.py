@@ -24,7 +24,7 @@ import numpy as np
 from .clt import (
     ChowLiuTree,
     _check_distributions,
-    _fitted_tree,
+    _fit_cpts,
     _smoothed,
     clt_log_density_rows,
     clt_mpe,
@@ -110,20 +110,19 @@ class CutsetNetwork:
         ids = self.variable_ids
         if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
             raise DatasetError("network variable ids must be distinct and ascending")
-        rows = []
+        weights = []
         for node, scope in walk(self.root, ids, lambda n, s, k: s[s != n.var]):
             if node.kind == "leaf":
                 if node.tree.variable_ids.tolist() != scope.tolist():
                     raise DatasetError("a leaf must cover the scope its path leaves")
-                node.tree._check_structure()
-                rows.extend(node.tree.cpt)
+                node.tree.validate()
                 continue
             if len(node.children) != 2 or np.shape(node.weights) != (2,):
                 raise DatasetError("a decision node needs two children and two weights")
             if node.var not in scope.tolist():
                 raise DatasetError(f"decision variable {node.var} is not in its scope")
-            rows.append(node.weights[None, :])
-        _check_distributions(np.concatenate(rows))
+            weights.append(node.weights)
+        _check_distributions(np.reshape(weights, (-1, 2)))
 
 
 @dataclass
@@ -247,7 +246,9 @@ def learn_cnet(
         for b in (1, 0):
             part = restrict(dsub, cut.var, b)
             part._remember(cut.child_grams[b])
-            part_tree = _fitted_tree(part, *cut.child_structures[b], h)
+            parents, order = cut.child_structures[b]
+            part_cpt = _fit_cpts(part, parents, h)
+            part_tree = ChowLiuTree(part.variable_ids.copy(), parents, order, part_cpt)
             pending.append((part, part_tree, depth + 1, (kids[k].children, b)))
 
     return CutsetNetwork(root[0], d.variable_ids.copy())

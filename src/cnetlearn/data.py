@@ -168,14 +168,15 @@ def _read_cells(path, free=None) -> np.ndarray:
 
 
 def _check_cells(x, n_cols: int, cells=(0, 1)) -> np.ndarray:
-    """`x` as an array, after checking that it is a matrix of `n_cols`
-    columns whose every cell is one of `cells`."""
+    """`x` as an integer array, after checking that it is a matrix of
+    `n_cols` columns whose every cell is one of `cells`.  Cells index
+    CPT rows, so a bool or float matrix comes back as int8."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != n_cols:
         raise DatasetError(f"expected a matrix with {n_cols} columns, got {x.shape}")
     if not np.logical_or.reduce([x == c for c in cells]).all():
         raise DatasetError(f"matrix cells must be one of {cells}")
-    return x
+    return x if x.dtype.kind in "iu" else x.astype(np.int8)
 
 
 def load_csv(path) -> WeightedDataset:

@@ -137,8 +137,8 @@ def _leaf_scores(stack: tuple, parents: np.ndarray, cfg: ScoreConfig) -> np.ndar
     smoothing."""
     tables = _family_tables(*stack, parents)
     if cfg.kind == BD:
-        return _bd_scores(tables, parents, cfg.alpha)
-    return _ll_scores(tables, parents, cfg.beta)
+        return _bd_scores(tables, cfg.alpha)
+    return _ll_scores(tables, cfg.beta)
 
 
 def _leaf_score(leaf: ChowLiuTree, d_leaf: WeightedDataset, cfg: ScoreConfig) -> float:

@@ -30,20 +30,34 @@ FORMAT_VERSION = 1
 
 
 def _tree_to_dict(t: ChowLiuTree) -> dict:
+    """The file holds a root's one CPT row and both rows of every other
+    variable: 1x2 tables at the root, 2x2 elsewhere."""
+    parents = [int(p) for p in t.parents]
     return {
         "variable_ids": [int(v) for v in t.variable_ids],
-        "parents": [int(p) for p in t.parents],
+        "parents": parents,
         "order": [int(v) for v in t.order],
-        "cpt": [[[float(p) for p in row] for row in table] for table in t.cpt],
+        "cpt": [table[:1] if p < 0 else table for table, p in zip(t.cpt.tolist(), parents)],
     }
 
 
 def _tree_from_dict(obj: dict) -> ChowLiuTree:
+    """The tree of a file's dict, its 1x2 and 2x2 tables filled into one
+    (d, 2, 2) CPT whose root row 1 reads (0.5, 0.5)."""
+    parents = np.array(obj["parents"], dtype=np.int64)
+    tables = obj["cpt"]
+    widths = [[len(row) for row in table] for table in tables]
+    if widths != [[2] if p < 0 else [2, 2] for p in parents.tolist()]:
+        raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
+    has_row = np.stack([np.ones(len(parents), dtype=bool), parents >= 0], axis=1)
+    cpt = np.full((len(parents), 2, 2), 0.5)
+    rows = [row for table in tables for row in table]
+    cpt[has_row] = np.array(rows, dtype=np.float64).reshape(-1, 2)
     return ChowLiuTree(
         np.array(obj["variable_ids"], dtype=np.int64),
-        np.array(obj["parents"], dtype=np.int64),
+        parents,
         np.array(obj["order"], dtype=np.int64),
-        [np.array(table, dtype=np.float64) for table in obj["cpt"]],
+        cpt,
     )
 
 
@@ -153,8 +167,9 @@ def save_model(path, model, score: ScoreConfig, provenance: dict | None = None) 
 
 
 def load_model(path):
-    """Returns (model, score config, provenance dict); a file that fails
-    any check of `CutsetNetwork.validate` raises DatasetError naming it."""
+    """Returns (model, score config, provenance dict); a file whose CPT
+    tables are not 1x2 at a tree's root and 2x2 elsewhere, or that fails
+    any check of `CutsetNetwork.validate`, raises DatasetError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

@@ -196,12 +196,22 @@ def random_tree(rng, ids) -> ChowLiuTree:
     else:
         seq = [int(rng.integers(0, n)) for _ in range(max(0, n - 2))]
         parents, order = orient_at_zero(n, prufer_edges(seq, n))
-    cpt = []
+    tables = []
     for v in range(n):
         n_rows = 1 if parents[v] < 0 else 2
         p1 = rng.uniform(0.05, 0.95, size=n_rows)
-        cpt.append(np.stack([1.0 - p1, p1], axis=1))
-    return ChowLiuTree(ids, parents, order, cpt)
+        tables.append(np.stack([1.0 - p1, p1], axis=1))
+    return ChowLiuTree(ids, parents, order, cpt_of(tables))
+
+
+def cpt_of(tables) -> np.ndarray:
+    """The (d, 2, 2) CPT of per-variable tables written as in a model
+    file, 1x2 at the root and 2x2 elsewhere; the root's row 1 reads
+    (0.5, 0.5), as a fit leaves it."""
+    cpt = np.full((len(tables), 2, 2), 0.5)
+    for v, table in enumerate(tables):
+        cpt[v, : len(table)] = table
+    return cpt
 
 
 def random_net(rng, ids, n_decisions: int) -> CutsetNetwork:
@@ -381,7 +391,7 @@ def pair_counts(d: WeightedDataset, i: int, j: int) -> np.ndarray:
 # or one edge at a time, as the library computed them before it counted
 # each dataset once
 
-def ref_fit_cpts(d: WeightedDataset, parents, beta: float) -> list:
+def ref_fit_cpts(d: WeightedDataset, parents, beta: float) -> np.ndarray:
     """Per-family CPT fit by np.add.at, one smoothed row at a time."""
 
     def smoothed_row(counts):
@@ -390,20 +400,20 @@ def ref_fit_cpts(d: WeightedDataset, parents, beta: float) -> list:
             return np.array([0.5, 0.5])
         return (counts + beta) / denom
 
-    cpts = []
+    cpt = np.full((d.n_vars, 2, 2), 0.5)
     w = d.weights
     for v in range(d.n_vars):
         xv = d.samples[:, v].astype(np.int64)
         if parents[v] < 0:
             counts = np.zeros(2)
             np.add.at(counts, xv, w)
-            cpts.append(smoothed_row(counts)[None, :])
+            cpt[v, 0] = smoothed_row(counts)
         else:
             xu = d.samples[:, parents[v]].astype(np.int64)
             table = np.zeros((2, 2))
             np.add.at(table, (xu, xv), w)
-            cpts.append(np.vstack([smoothed_row(table[u]) for u in (0, 1)]))
-    return cpts
+            cpt[v] = [smoothed_row(table[u]) for u in (0, 1)]
+    return cpt
 
 
 def ref_bd_family(counts, alpha: float) -> float:
@@ -430,7 +440,8 @@ def ref_gram_family_table(d: WeightedDataset, v: int, p: int) -> np.ndarray:
 
 def _ref_cpt_rows(parents) -> list:
     """(v, u) of every CPT row of a tree, by variable: the order in which
-    the library sums a tree's score terms."""
+    the library sums a tree's score terms (it also adds a root's empty
+    row 1, whose term is exactly 0)."""
     return [(v, u) for v, p in enumerate(parents) for u in ((0,) if p < 0 else (0, 1))]
 
 
@@ -662,6 +673,28 @@ def ref_learn_cnet(d: WeightedDataset, cfg) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# per-row density reference
+
+def ref_clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndarray:
+    """Each row's log density, started at 0.0 and summed one Python float
+    at a time in tree order: np.log(t.cpt)[v, u, x_v], u the parent's
+    value or 0 at the root.  `columns` is as in clt_log_density_rows."""
+    if columns is None:
+        columns = range(t.n_vars)
+    with np.errstate(divide="ignore"):
+        logcpt = np.log(t.cpt)
+    out = []
+    for row in np.asarray(x).tolist():
+        ll = 0.0
+        for v in t.order.tolist():
+            p = int(t.parents[v])
+            u = 0 if p < 0 else row[columns[p]]
+            ll += float(logcpt[v, u, row[columns[v]]])
+        out.append(ll)
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
 # per-row MPE references: one {global id: value} evidence dict at a time,
 # as the library answered queries before it took evidence matrices
 
@@ -697,7 +730,7 @@ def ref_clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
     msg = np.zeros((t.n_vars, 2))
     choice = np.zeros((t.n_vars, 2), dtype=np.int64)
     with np.errstate(divide="ignore"):
-        logcpt = [np.log(c) for c in t.cpt]
+        logcpt = np.log(t.cpt)
 
     for v in t.order[::-1]:
         p = t.parents[v]
@@ -707,7 +740,7 @@ def ref_clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
             for x in (0, 1):
                 if v in fixed and fixed[v] != x:
                     continue
-                s = logcpt[v][u, x]
+                s = logcpt[v, u, x]
                 for c in kids[v]:
                     s += msg[c, x]
                 if s > best:

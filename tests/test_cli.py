@@ -376,6 +376,12 @@ def _first_cpt(model: dict) -> list:
     return _first_tree(model)["cpt"][0]
 
 
+def _tree_table(model: dict, k: int) -> list:
+    """The CPT table of the first tree's k-th variable in tree order."""
+    tree = _first_tree(model)
+    return tree["cpt"][tree["order"][k]]
+
+
 def _claim_root_var(model: dict) -> None:
     _first_tree(model)["variable_ids"][0] = model["net"]["root"]["var"]
 
@@ -396,6 +402,9 @@ def _repeat_root_in_order(model: dict) -> None:
         (lambda m: m["net"]["root"].__setitem__("weights", [0.9, 0.9]), "sum to 1"),
         (lambda m: _first_cpt(m).__setitem__(0, [0.9, 0.9]), "sum to 1"),
         (lambda m: _first_cpt(m)[0].append(0.0), "1x2"),
+        (lambda m: _tree_table(m, 0).append([0.5, 0.5]), "1x2"),
+        (lambda m: _tree_table(m, 1).pop(), "1x2"),
+        (lambda m: _first_tree(m)["cpt"].pop(), "1x2"),
         (_claim_root_var, "the scope its path leaves"),
         (_repeat_root_in_order, "list every variable once"),
     ],
@@ -408,6 +417,9 @@ def _repeat_root_in_order(model: dict) -> None:
         "weights-not-distribution",
         "cpt-row-not-distribution",
         "cpt-wrong-shape",
+        "cpt-root-two-rows",
+        "cpt-child-one-row",
+        "cpt-table-missing",
         "leaf-scope",
         "order-repeats-root",
     ],

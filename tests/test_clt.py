@@ -22,6 +22,7 @@ from cnetlearn import (
 
 from helpers import (
     all_spanning_trees,
+    cpt_of,
     enumerate_bits,
     mpe_of,
     pair_counts,
@@ -100,7 +101,7 @@ def test_learn_clt_single_variable_ml_row():
     d = unit_dataset([[1], [1], [1], [0]])
     t = learn_clt(d, 0.0)
     assert t.n_vars == 1 and t.root == 0
-    assert np.allclose(t.cpt[0], [[0.25, 0.75]])
+    assert np.allclose(t.cpt[0], [[0.25, 0.75], [0.5, 0.5]])
 
 
 def test_learn_clt_two_variables_single_edge():
@@ -117,10 +118,10 @@ def test_learn_clt_smoothing_formula():
     beta = 0.5
     t = learn_clt(d, beta)
     # root is variable 0 with counts (2, 1)
-    assert np.allclose(t.cpt[0][0], [(2 + beta) / (3 + 2 * beta), (1 + beta) / (3 + 2 * beta)])
+    assert np.allclose(t.cpt[0, 0], [(2 + beta) / (3 + 2 * beta), (1 + beta) / (3 + 2 * beta)])
     # child rows: given x0=0 counts (1,1); given x0=1 counts (0,1)
-    assert np.allclose(t.cpt[1][0], [0.5, 0.5])
-    assert np.allclose(t.cpt[1][1], [beta / (1 + 2 * beta), (1 + beta) / (1 + 2 * beta)])
+    assert np.allclose(t.cpt[1, 0], [0.5, 0.5])
+    assert np.allclose(t.cpt[1, 1], [beta / (1 + 2 * beta), (1 + beta) / (1 + 2 * beta)])
 
 
 def test_learn_clt_brute_force_optimal_d4():
@@ -180,10 +181,10 @@ def test_learn_clt_zero_weight_dataset():
         lambda t: t.order.__setitem__(2, t.order[0]),
         lambda t: t.parents.__setitem__(t.order[2], -1),
         lambda t: setattr(t, "order", t.order[::-1].copy()),
-        lambda t: t.cpt.__setitem__(0, np.array([[0.5, 0.5], [0.5, 0.5]])),
+        lambda t: setattr(t, "cpt", t.cpt[:, :1]),
         lambda t: t.cpt.__setitem__(1, np.array([[0.9, 0.9], [0.5, 0.5]])),
     ],
-    ids=["order-repeats-root", "two-roots", "children-first", "root-2x2", "row-sum"],
+    ids=["order-repeats-root", "two-roots", "children-first", "cpt-not-d22", "row-sum"],
 )
 def test_validate_raises_dataset_error(damage):
     t = learn_clt(unit_dataset([[0, 0, 1], [1, 1, 0], [1, 1, 1]]), 0.1)
@@ -199,8 +200,7 @@ def test_learn_clt_deterministic():
     t1 = learn_clt(d, 0.01)
     t2 = learn_clt(d, 0.01)
     assert np.array_equal(t1.parents, t2.parents)
-    for a, b in zip(t1.cpt, t2.cpt):
-        assert np.array_equal(a, b)
+    assert np.array_equal(t1.cpt, t2.cpt)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_clt_log_likelihood_examples():
         np.array([0]),
         np.array([-1]),
         np.array([0]),
-        [np.array([[0.5, 0.5]])],
+        cpt_of([[[0.5, 0.5]]]),
     )
     d = unit_dataset([[0], [1]])
     assert math.isclose(clt_log_likelihood(t, d), 2 * math.log(0.5), rel_tol=1e-14)
@@ -281,7 +281,7 @@ def test_clt_bd_single_variable_prequential_value():
 
 def test_clt_bd_empty_dataset():
     t = ChowLiuTree(
-        np.array([0]), np.array([-1]), np.array([0]), [np.array([[0.5, 0.5]])]
+        np.array([0]), np.array([-1]), np.array([0]), cpt_of([[[0.5, 0.5]]])
     )
     empty = WeightedDataset(np.zeros((0, 1), dtype=np.uint8), np.zeros(0))
     assert clt_bd_score(t, empty, alpha=1.0) == 0.0
@@ -335,7 +335,7 @@ def test_clt_bd_ignores_stored_cpts():
     d = random_dataset(rng, 25, 3)
     t1 = learn_clt(d, 0.0)
     t2 = ChowLiuTree(
-        t1.variable_ids, t1.parents, t1.order, [np.full_like(c, 0.5) for c in t1.cpt]
+        t1.variable_ids, t1.parents, t1.order, np.full_like(t1.cpt, 0.5)
     )
     assert clt_bd_score(t1, d, 0.1) == clt_bd_score(t2, d, 0.1)
 
@@ -355,7 +355,7 @@ def test_clt_sample_deterministic_cpts():
         np.array([0, 1]),
         np.array([-1, 0]),
         np.array([0, 1]),
-        [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])],
+        cpt_of([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]),
     )
     rng = np.random.default_rng(0)
     assert np.array_equal(clt_sample(t, 20, rng), np.zeros((20, 2)))
@@ -363,7 +363,7 @@ def test_clt_sample_deterministic_cpts():
 
 def test_clt_sample_mean_concentration():
     t = ChowLiuTree(
-        np.array([0]), np.array([-1]), np.array([0]), [np.array([[0.5, 0.5]])]
+        np.array([0]), np.array([-1]), np.array([0]), cpt_of([[[0.5, 0.5]]])
     )
     rng = np.random.default_rng(123)
     draws = clt_sample(t, 10000, rng)[:, 0]
@@ -407,7 +407,7 @@ def test_clt_mpe_full_and_empty_evidence():
         np.array([0, 1]),
         np.array([-1, 0]),
         np.array([0, 1]),
-        [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])],
+        cpt_of([[[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]),
     )
     values, score = mpe_of(clt_mpe, det, {})
     assert np.array_equal(values, [1, 1]) and score == 0.0
@@ -438,7 +438,7 @@ def test_clt_mpe_tie_breaks_toward_zero():
         np.array([0, 1]),
         np.array([-1, 0]),
         np.array([0, 1]),
-        [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+        cpt_of([[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]),
     )
     values, score = mpe_of(clt_mpe, t, {})
     assert np.array_equal(values, [0, 0])
@@ -468,7 +468,7 @@ def test_clt_mpe_keeps_impossible_evidence():
         np.array([0, 1]),
         np.array([-1, 0]),
         np.array([0, 1]),
-        [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+        cpt_of([[[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]),
     )
     values, scores = clt_mpe(t, np.array([[1, -1], [-1, -1]]))
     assert np.array_equal(values, [[1, 0], [0, 0]])

@@ -41,6 +41,7 @@ from cnetlearn.cnet import walk
 
 from helpers import (
     count_decisions,
+    cpt_of,
     enumerate_bits,
     evidence_matrix,
     induced_path,
@@ -330,6 +331,10 @@ def test_density_input_validation():
         cnet_log_density_rows(net, np.array([[0, 1]]))
     with pytest.raises(DatasetError):
         cnet_log_density_rows(net, np.array([[0, 1, 2]]))
+    # bool and float 0/1 cells read as the integer cells they hold
+    x = d.samples[::4]
+    for cells in (x.astype(bool), x.astype(np.float64)):
+        assert np.array_equal(cnet_log_density_rows(net, cells), cnet_log_density_rows(net, x))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +467,7 @@ def test_mpe_keeps_impossible_evidence():
         np.array([0, 1]),
         np.array([-1, 0]),
         np.array([0, 1]),
-        [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+        cpt_of([[[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]),
     )
     root = DecisionNode(2, np.array([0.5, 0.5]), [Leaf(tree), Leaf(tree)])
     net = CutsetNetwork(root, np.arange(3))
@@ -525,7 +530,7 @@ def _chain_net():
     share their id, parent, order and CPT arrays, so building is cheap."""
     ids = np.arange(CHAIN + 1)
     parents = np.arange(-1, CHAIN)
-    cpt = [ROOT_ROW] + [COND_ROWS] * CHAIN
+    cpt = cpt_of([ROOT_ROW] + [COND_ROWS] * CHAIN)
 
     def leaf(first):
         m = CHAIN + 1 - first

@@ -1,5 +1,6 @@
 """Differential tests: the batched MPE queries against the per-row
-references in helpers.py, which answer one evidence dict at a time.
+references in helpers.py, which answer one evidence dict at a time, and
+the tree density against one that sums one Python float at a time.
 
 Values and scores must agree exactly: the batched passes keep the
 references' float operations and tie rules.  CPT entries and branch
@@ -14,14 +15,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnetlearn import ChowLiuTree, CutsetNetwork, Leaf, Mixture, clt_mpe, cnet_mpe
+from cnetlearn import (
+    ChowLiuTree,
+    CutsetNetwork,
+    Leaf,
+    Mixture,
+    clt_log_density_rows,
+    clt_mpe,
+    cnet_mpe,
+)
 from cnetlearn.cli import _model_mpe
 from cnetlearn.cnet import walk
 
 from helpers import (
+    cpt_of,
     evidence_dict,
     random_net,
     random_tree,
+    ref_clt_log_density_rows,
     ref_clt_mpe,
     ref_cnet_mpe,
     ref_model_mpe,
@@ -43,7 +54,8 @@ def _coarsen(rng, tree_or_nets) -> None:
     """Redraw every CPT row and branch weight pair with P(1) in
     {1/4, 1/2, 3/4}."""
     if isinstance(tree_or_nets, ChowLiuTree):
-        tree_or_nets.cpt = [_rows(rng, len(c)) for c in tree_or_nets.cpt]
+        parents = tree_or_nets.parents.tolist()
+        tree_or_nets.cpt = cpt_of([_rows(rng, 1 if p < 0 else 2) for p in parents])
         return
     for net in tree_or_nets:
         for node, _ in walk(net.root):
@@ -79,6 +91,24 @@ def _assert_matches(batched, reference, ids, ev) -> None:
         want_values, want_score = reference(evidence_dict(row, ids))
         assert np.array_equal(values[r], want_values), r
         assert scores[r] == want_score, r
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_tree_density_equals_reference(n_vars, n_zero, seed):
+    # bit for bit, since MPE tie-breaks read these sums: the tree's
+    # variables sit in permuted columns among unused ones, and n_zero
+    # CPT cells are 0, so the rows that hit one score -inf
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, _scope(rng, n_vars))
+    for _ in range(n_zero):
+        v, u, x = int(rng.integers(0, n_vars)), int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        tree.cpt[v, u, x], tree.cpt[v, u, 1 - x] = 0.0, 1.0
+    columns = rng.permutation(n_vars + 2)[:n_vars]
+    x = rng.integers(0, 2, size=(32, n_vars + 2)).astype(np.uint8)
+    want = ref_clt_log_density_rows(tree, x, columns)
+    assert clt_log_density_rows(tree, x, columns=columns).tobytes() == want.tobytes()
+    assert clt_log_density_rows(tree, x[:, columns]).tobytes() == want.tobytes()
 
 
 @SETTINGS
@@ -122,7 +152,7 @@ def test_mixture_mpe_keeps_the_first_best_completion():
     # mirrored components: their completions 0 and 1 tie under the mixture
     def net(p1):
         zero = np.array([0])
-        tree = ChowLiuTree(zero, np.array([-1]), zero, [np.array([[1 - p1, p1]])])
+        tree = ChowLiuTree(zero, np.array([-1]), zero, cpt_of([[[1 - p1, p1]]]))
         return CutsetNetwork(Leaf(tree), np.array([0]))
 
     m = Mixture([net(0.25), net(0.75)], [0.5, 0.5])

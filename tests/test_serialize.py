@@ -51,10 +51,10 @@ def _planted_rows(rng, n: int, n_vars: int, k: int) -> np.ndarray:
     for c in range(k):
         tree = random_tree(rng, range(n_vars))
         for v in range(n_vars):
-            p1 = rng.choice([0.1, 0.9], size=len(tree.cpt[v]))
+            p1 = rng.choice([0.1, 0.9], size=1 if tree.parents[v] < 0 else 2)
             if v in switch:
                 p1[:] = 0.99 if (c >> switch.index(v)) & 1 else 0.01
-            tree.cpt[v] = np.stack([1 - p1, p1], axis=1)
+            tree.cpt[v, : len(p1)] = np.stack([1 - p1, p1], axis=1)
         trees.append(tree)
     z = rng.integers(0, k, n)
     x = np.zeros((n, n_vars), dtype=np.uint8)
@@ -179,7 +179,7 @@ def test_save_rejects_model_deeper_than_json_nests(tmp_path):
     # save does not validate, so one variable serves every level; a valid
     # network this deep needs 3,001 variables and takes seconds to write
     def leaf():
-        cpt = [np.array([[0.5, 0.5]])]
+        cpt = np.full((1, 2, 2), 0.5)
         return Leaf(ChowLiuTree(np.array([0]), np.array([-1]), np.array([0]), cpt))
 
     node = leaf()
