@@ -94,29 +94,30 @@ def _check_distributions(rows: np.ndarray) -> None:
 
 def mutual_information(d: WeightedDataset, i: int, j: int) -> float:
     """Empirical mutual information (nats) between variables i and j,
-    from raw weighted counts, clamped at 0: the entry of the matrix the
-    tree learner uses."""
+    from raw weighted counts, clamped at 0: the value the tree learner
+    uses for the pair, which it reads in ascending order."""
     if i == j:
         raise DatasetError("mutual information needs two distinct variables")
     if d.total_weight <= 0:
         raise DatasetError("mutual information of a zero-weight dataset")
     total, n1, n11 = d.gram_counts()
-    mi = _mi_matrix(np.array([total]), n1[None], n11[None])[0]
-    return float(mi[d.column(i), d.column(j)])
+    pair = sorted((d.column(i), d.column(j)))
+    return float(_mi_pairs(np.array([total]), n1[None, pair], n11[np.ix_(pair, pair)][None])[0, 0])
 
 
-def _mi_matrix(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
-    """(m, d, d) mutual information of every pair of variables in each of
-    m datasets, from their Gram counts: total (m,), n1 (m, d) and n11
-    (m, d, d).  Zero for a zero-weight dataset.  The (a, b) cells of the
-    pair tables are formed and used one at a time, in place where that
-    keeps the bits, so the temporaries are a few stacks' size.  Counts
-    are exact (see WeightedDataset), so no cell is negative."""
+def _mi_pairs(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray:
+    """(m, E) mutual information of each of m datasets over d variables
+    for its E = d(d - 1)/2 pairs i < j, in np.triu_indices order, from
+    their Gram counts: total (m,), n1 (m, d) and n11 (m, d, d).  Zero for
+    a zero-weight dataset.  The (a, b) cells of the pair tables are formed
+    and used one at a time.  Counts are exact (see WeightedDataset), so
+    no cell is negative."""
+    iu, ju = np.triu_indices(n1.shape[1], 1)
     live = total > 0
-    total = np.where(live, total, 1.0)[:, None, None]
-    pi1 = n1 / total[:, 0]
+    total = np.where(live, total, 1.0)[:, None]
+    pi1 = n1 / total
     pi = (1.0 - pi1, pi1)  # pi[a][k, v]
-    n1i, n1j = n1[:, :, None], n1[:, None, :]
+    n1i, n1j, n11 = n1[:, iu], n1[:, ju], n11[:, iu, ju]
     cells = {
         (1, 1): lambda: n11,
         (1, 0): lambda: n1i - n11,
@@ -129,69 +130,72 @@ def _mi_matrix(total: np.ndarray, n1: np.ndarray, n11: np.ndarray) -> np.ndarray
             pab = cells[a, b]() / total
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = np.log(pab)
-                term -= np.log(pi[a][:, :, None] * pi[b][:, None, :])
+                term -= np.log(pi[a][:, iu] * pi[b][:, ju])
                 term *= pab
             term[pab == 0] = 0.0
             mi += term
     mi[~live] = 0.0
-    diag = np.arange(n11.shape[1])
-    mi[:, diag, diag] = 0.0
     return np.clip(mi, 0.0, None)
 
 
-def _max_spanning_trees(mi: np.ndarray) -> list:
-    """Maximum spanning tree of each matrix of an (m, d, d) stack, as its
-    edges (i, j), i < j, in the order Kruskal takes them: by MI
-    descending, ties to the lexicographically smaller pair.
+def _rooted_trees(mi: np.ndarray, dvars: int) -> tuple:
+    """(parents, order), each (m, d), of the maximum spanning tree of the
+    MI of each of m datasets over d variables, given as _mi_pairs gives
+    it, rooted at 0 and ordered breadth first, each vertex's children
+    ascending.
 
-    That order ranks every edge apart, so each tree is unique, and Prim's
-    algorithm on the ranks builds it for the whole stack at once."""
-    m, dvars = mi.shape[:2]
-    iu, ju = np.triu_indices(dvars, 1)
-    # triu_indices lists the pairs in (i, j) order, so a stable sort
-    # breaks ties as Kruskal's lexsort((j, i, -mi)) did
-    by_weight = np.argsort(-mi[:, iu, ju], axis=1, kind="stable")
-    n_edges = len(iu)
-    rank = np.full((m, dvars, dvars), n_edges)
-    rank[np.arange(m)[:, None], iu[by_weight], ju[by_weight]] = np.arange(n_edges)
-    rank = np.minimum(rank, rank.transpose(0, 2, 1))
-
+    Prim's algorithm grows every tree from vertex 0 at once.  It takes
+    the crossing edge of highest MI, ties to the smaller pair index, and
+    that is the strict order in which Kruskal takes the edges: by MI
+    descending, ties to the lexicographically smaller pair.  So each
+    tree is unique, and each vertex's parent is the tree end of the edge
+    it joined by."""
+    m = len(mi)
     rows = np.arange(m)
-    best = rank[:, 0].copy()  # the best rank joining each vertex to the tree
+    iu, ju = np.triu_indices(dvars, 1)
+    n_pairs = len(iu)
+    pair = np.zeros((dvars, dvars), dtype=np.int64)  # pair index of (u, v)
+    pair[iu, ju] = pair[ju, iu] = np.arange(n_pairs)
+    flat, offset = np.ascontiguousarray(mi).ravel(), rows[:, None] * n_pairs
+    # best MI joining each free vertex to the tree, -inf once it joins
+    best = np.full((m, dvars), -1.0)
+    best[:, 0] = -np.inf
+    best_pair = np.zeros((m, dvars), dtype=np.int64)  # that edge's pair index
     via = np.zeros((m, dvars), dtype=np.int64)  # that edge's tree end
-    free = np.ones((m, dvars), dtype=bool)
-    free[:, 0] = False
-    best[:, 0] = n_edges
-    edges = np.empty((m, max(dvars - 1, 0), 3), dtype=np.int64)  # rank, i, j
-    for k in range(dvars - 1):
-        v = best.argmin(axis=1)
-        u = via[rows, v]
-        edges[:, k] = np.stack([best[rows, v], np.minimum(u, v), np.maximum(u, v)], axis=1)
+    depth = np.zeros((m, dvars), dtype=np.int64)
+    free = np.isfinite(best)  # all but vertex 0
+    v = np.zeros(m, dtype=np.int64)  # the vertex that joined last
+    for _ in range(dvars - 1):
+        edge = pair[v]
+        gain = flat[edge + offset]
+        closer = (gain > best) | ((gain == best) & (edge < best_pair))
+        closer &= free
+        np.copyto(best, gain, where=closer)
+        np.copyto(best_pair, edge, where=closer)
+        np.copyto(via, v[:, None], where=closer)
+        top = best.max(axis=1, keepdims=True)
+        v = np.where(best == top, best_pair, n_pairs).argmin(axis=1)
         free[rows, v] = False
-        best[rows, v] = n_edges
-        closer = free & (rank[rows, v] < best)
-        best = np.where(closer, rank[rows, v], best)
-        via = np.where(closer, v[:, None], via)
-    edges = np.take_along_axis(edges, np.argsort(edges[:, :, :1], axis=1), axis=1)
-    return [[(i, j) for _, i, j in tree] for tree in edges.tolist()]
-
-
-def _orient(dvars: int, edges: list):
-    """Root at local index 0 and direct all edges away from it."""
-    adj = [[] for _ in range(dvars)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parents = [-1] * dvars
-    seen = [True] + [False] * (dvars - 1)
-    order = [0]
-    for u in order:  # breadth first: the loop reads what it appends
-        for v in sorted(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                parents[v] = u
-                order.append(v)
-    return np.array(parents, dtype=np.int64), np.array(order, dtype=np.int64)
+        best[rows, v] = -np.inf
+        depth[rows, v] = depth[rows, via[rows, v]] + 1
+    parents = via
+    parents[:, 0] = -1
+    # breadth first, one level at a time: a level's vertices sort by
+    # their parents' positions, then by index
+    col = np.arange(dvars)
+    pos = np.zeros((m, dvars), dtype=np.int64)
+    placed = np.ones(m, dtype=np.int64)
+    for level in range(1, depth.max(initial=0) + 1):
+        at = depth == level
+        key = np.where(at, pos[rows[:, None], parents] * dvars + col, dvars * dvars)
+        ranked = np.argsort(key, axis=1)  # the level's vertices first
+        n_at = at.sum(axis=1)
+        k, j = np.nonzero(col < n_at[:, None])
+        pos[k, ranked[k, j]] = placed[k] + j
+        placed += n_at
+    order = np.empty_like(pos)
+    order[rows[:, None], pos] = col
+    return parents, order
 
 
 def _stacked(grams: list) -> tuple:
@@ -204,11 +208,10 @@ def _stacked(grams: list) -> tuple:
     )
 
 
-def _structures(stack: tuple) -> list:
-    """(parents, order) of the Chow-Liu tree of each dataset of a stack of
-    Gram counts (see _stacked)."""
-    mi = _mi_matrix(*stack)
-    return [_orient(mi.shape[1], edges) for edges in _max_spanning_trees(mi)]
+def _structures(stack: tuple) -> tuple:
+    """(parents, order), each (m, d), of the Chow-Liu tree of each
+    dataset of a stack of Gram counts (see _stacked)."""
+    return _rooted_trees(_mi_pairs(*stack), stack[1].shape[1])
 
 
 def _family_tables(total: np.ndarray, n1: np.ndarray, n11: np.ndarray, parents) -> np.ndarray:
@@ -259,7 +262,7 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
     """
     if d.n_vars < 1:
         raise DatasetError("learn_clt needs at least one variable")
-    ((parents, order),) = _structures(_stacked([d.gram_counts()]))
+    parents, order = (a[0] for a in _structures(_stacked([d.gram_counts()])))
     return ChowLiuTree(d.variable_ids.copy(), parents, order, _fit_cpts(d, parents, beta))
 
 
@@ -289,7 +292,7 @@ def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:
         return 0.0
     rows = clt_log_density_rows(t, d.samples)
     live = d.weights > 0  # 0 * -inf would poison the sum
-    return float(d.weights[live] @ rows[live])
+    return math.fsum((d.weights[live] * rows[live]).tolist())  # exactly rounded
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])

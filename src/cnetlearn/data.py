@@ -212,18 +212,10 @@ def restrict(d: WeightedDataset, var: int, value: int) -> WeightedDataset:
     if value not in (0, 1):
         raise DatasetError(f"value must be 0 or 1, got {value}")
     pos = d.column(var)
-    mask, keep = _split(d, pos, value)
+    mask, keep = d.samples[:, pos] == value, np.arange(d.n_vars) != pos
     return WeightedDataset(
         d.samples[mask][:, keep], d.weights[mask], d.variable_ids[keep]
     )
-
-
-def _split(d: WeightedDataset, pos: int, value: int) -> tuple:
-    """(rows, columns) masks of the part of `d` where column `pos` holds
-    `value`, without that column."""
-    keep = np.ones(d.n_vars, dtype=bool)
-    keep[pos] = False
-    return d.samples[:, pos] == value, keep
 
 
 def _gram(samples: np.ndarray, weights: np.ndarray) -> tuple:
@@ -234,8 +226,30 @@ def _gram(samples: np.ndarray, weights: np.ndarray) -> tuple:
     return float(weights.sum()), np.diag(n11).copy(), n11
 
 
-def _split_gram(d: WeightedDataset, pos: int, value: int) -> tuple:
-    """gram_counts of restrict(d, the variable at `pos`, value), from a
-    copy of its rows that is dropped at once."""
-    mask, keep = _split(d, pos, value)
-    return _gram(d.samples[mask][:, keep], d.weights[mask])
+def _cut_grams(d: WeightedDataset, cols: np.ndarray) -> tuple:
+    """Stacked gram_counts, (total (2k,), n1 (2k, d - 1), n11 (2k, d - 1,
+    d - 1)), of restrict(d, the variable at c, value) for each of the k
+    columns c in `cols`, value 0 then 1.
+
+    Only the part with fewer rows is counted, by one product over all of
+    `d`'s columns; the other part's counts are `d`'s own minus those.
+    Counts are exact (see WeightedDataset), so both are the bits of
+    counting each part's own rows.  Then each part drops its column."""
+    total, n1, n11 = d.gram_counts()
+    k, cut = len(cols), np.arange(len(cols))
+    ones = np.count_nonzero(d.samples[:, cols], axis=0)
+    small = (2 * ones <= d.n_rows).astype(np.int64)  # the value whose part is counted
+    counted = np.empty((k, d.n_vars, d.n_vars))
+    for i, (col, b) in enumerate(zip(cols.tolist(), small.tolist())):
+        rows = d.samples[:, col] == b
+        counted[i] = _gram(d.samples[rows], d.weights[rows])[2]
+    keep = np.arange(d.n_vars - 1)
+    keep = keep + (keep >= cols[:, None])  # (k, d - 1) columns kept by each cut
+    r, c = keep[:, :, None], keep[:, None, :]
+    counted = counted[cut[:, None, None], r, c]
+    parts = np.empty((k, 2, d.n_vars - 1, d.n_vars - 1))
+    parts[cut, small] = counted
+    parts[cut, 1 - small] = n11[r, c] - counted
+    parts = parts.reshape(2 * k, d.n_vars - 1, d.n_vars - 1)
+    totals = np.stack([total - n1[cols], n1[cols]], axis=1).reshape(-1)
+    return totals, np.diagonal(parts, axis1=1, axis2=2), parts

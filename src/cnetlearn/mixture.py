@@ -9,6 +9,8 @@ starting model.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .clt import _check_distributions
@@ -220,7 +222,9 @@ def mean_log_likelihood(model, d: WeightedDataset) -> float:
     are skipped, so a row of zero density only counts when it has weight."""
     rows = log_density_rows(model, d.samples)
     live = d.weights > 0
-    return float(d.weights[live] @ rows[live]) / d.total_weight
+    # an exactly rounded sum, the same for any BLAS thread count: EM's
+    # stopping test reads it
+    return math.fsum((d.weights[live] * rows[live]).tolist()) / d.total_weight
 
 
 def learn_sem(

@@ -32,7 +32,7 @@ from .clt import (
     clt_param_count,
     learn_clt,  # noqa: F401  kept bound here: benchmarks/test_bench.py wraps it
 )
-from .data import DatasetError, WeightedDataset, _check_scope, _split_gram, restrict
+from .data import DatasetError, WeightedDataset, _check_scope, _cut_grams, restrict
 from .numerics import log_beta
 
 __all__ = [
@@ -234,19 +234,20 @@ def evaluate_cut(
 def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, leaf_score: float):
     """Yield the CutCandidate of each variable in turn.
 
-    The children of many cuts are counted on the leaf's own rows and
-    learned and scored as one stack; no child's rows are kept."""
+    The children of many cuts are counted on the leaf's own rows (see
+    data._cut_grams) and learned and scored as one stack; no child's
+    rows are kept."""
     dvars = d_leaf.n_vars - 1
     step = max(1, _STACK_CELLS // (2 * dvars * dvars))
     for lo in range(0, len(variables), step):
         cuts = variables[lo : lo + step]
-        grams = [_split_gram(d_leaf, d_leaf.column(v), c) for v in cuts for c in (0, 1)]
-        stack = _stacked(grams)
-        trees = _structures(stack)
-        scores = _leaf_scores(stack, np.stack([p for p, _ in trees]), cfg).tolist()
+        stack = _cut_grams(d_leaf, np.array([d_leaf.column(v) for v in cuts]))
+        parents, order = _structures(stack)
+        scores = _leaf_scores(stack, parents, cfg).tolist()
+        totals = stack[0].tolist()
         for i, var in enumerate(cuts):
-            pair = slice(2 * i, 2 * i + 2)
-            counts = SumNodeCounts(grams[2 * i][0], grams[2 * i + 1][0])
+            pair = (2 * i, 2 * i + 1)
+            counts = SumNodeCounts(totals[2 * i], totals[2 * i + 1])
             delta = (
                 _branch_term(counts, cfg)
                 + scores[2 * i]
@@ -254,4 +255,7 @@ def _scored_cuts(d_leaf: WeightedDataset, variables: list, cfg: ScoreConfig, lea
                 - leaf_score
                 - _penalty(2 * d_leaf.n_vars - 4, cfg)
             )
-            yield CutCandidate(var, float(delta), counts, tuple(trees[pair]), tuple(grams[pair]))
+            # copies, so that an accepted child holds its own counts only
+            grams = tuple((totals[j], stack[1][j].copy(), stack[2][j].copy()) for j in pair)
+            structures = tuple((parents[j], order[j]) for j in pair)
+            yield CutCandidate(var, float(delta), counts, structures, grams)

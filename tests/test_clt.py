@@ -77,11 +77,13 @@ def test_mi_from_definition():
 
 def test_mi_symmetric_and_nonnegative():
     rng = np.random.default_rng(1)
-    for _ in range(25):
+    for k in range(200):
         d = random_dataset(rng, 12, 3)
+        if k % 2:  # fractional weights: the two cell orders differ in bits
+            d = d.with_weights(rng.random(12) * 7)
         a = mutual_information(d, 0, 2)
         b = mutual_information(d, 2, 0)
-        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+        assert a == b
         assert a >= 0.0
 
 

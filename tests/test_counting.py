@@ -33,16 +33,16 @@ from cnetlearn import (
 from cnetlearn.clt import (
     _family_tables,
     _fit_cpts,
-    _max_spanning_trees,
-    _mi_matrix,
+    _mi_pairs,
+    _rooted_trees,
     _stacked,
 )
 from cnetlearn.cnet import _information_gains, information_gain, walk
-from cnetlearn.data import _split_gram
-from cnetlearn.scores import BD, BIC, ScoreConfig, _leaf_score, evaluate_cut
+from cnetlearn.scores import BD, BIC, ScoreConfig, _leaf_score, _scored_cuts, evaluate_cut
 
 from helpers import (
     _ref_refit_ll,
+    orient_at_zero,
     random_net,
     random_tree,
     ref_bd_cnet,
@@ -125,25 +125,6 @@ def test_information_gains_match_reference(d):
             assert gains[col] == 0.0
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 9),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["zero", "rounded", "coarse", "distinct"]),
-)
-def test_kruskal_equals_sorted_reference(dvars, seed, ties):
-    rng = np.random.default_rng(seed)
-    mi = rng.random((dvars, dvars))
-    if ties == "zero":
-        mi[:] = 0.0
-    elif ties == "rounded":
-        mi = np.round(mi, 1)
-    elif ties == "coarse":
-        mi = rng.integers(0, 3, size=(dvars, dvars)) * 0.25
-    mi = np.triu(mi, 1) + np.triu(mi, 1).T
-    assert _max_spanning_trees(mi[None])[0] == ref_max_spanning_tree(mi)
-
-
 def _tied_mi(rng, dvars: int, ties: str) -> np.ndarray:
     mi = rng.random((dvars, dvars))
     if ties == "zero":
@@ -162,25 +143,31 @@ def _tied_mi(rng, dvars: int, ties: str) -> np.ndarray:
     st.integers(0, 2**32 - 1),
     st.lists(st.sampled_from(["zero", "rounded", "coarse", "distinct"]), min_size=6, max_size=6),
 )
-def test_prim_on_ranks_equals_kruskal_on_tied_stacks(m, dvars, seed, ties):
-    # ROADMAP's condition for Prim: the same trees as Kruskal on tied MI
+def test_prim_on_mi_equals_kruskal_on_tied_stacks(m, dvars, seed, ties):
+    # Prim takes the edge of highest MI, ties to the smaller pair: the
+    # trees of Kruskal's strict order, rooted at 0 and ordered breadth first
     rng = np.random.default_rng(seed)
     stack = np.stack([_tied_mi(rng, dvars, ties[k]) for k in range(m)])
-    assert _max_spanning_trees(stack) == [ref_max_spanning_tree(mi) for mi in stack]
+    iu, ju = np.triu_indices(dvars, 1)
+    parents, order = _rooted_trees(stack[:, iu, ju], dvars)
+    for k, mi in enumerate(stack):
+        want = orient_at_zero(dvars, ref_max_spanning_tree(mi))
+        assert _same_bits(parents[k], want[0]) and _same_bits(order[k], want[1])
 
 
 @SETTINGS
 @given(st.lists(datasets(), min_size=1, max_size=5), st.integers(1, 8))
 def test_mi_stack_equals_one_matrix_at_a_time(ds, dvars):
+    # the learner reads only the cells i < j
     grams = []
     for d in ds:  # the same number of variables, as in one stack
         d = WeightedDataset(np.resize(d.samples, (d.n_rows, dvars)), d.weights)
         grams.append(d.gram_counts())
-    total = np.array([g[0] for g in grams])
-    got = _mi_matrix(total, np.stack([g[1] for g in grams]), np.stack([g[2] for g in grams]))
+    got = _mi_pairs(*_stacked(grams))
+    iu, ju = np.triu_indices(dvars, 1)
     for k, gram in enumerate(grams):
         want = ref_mi_matrix(*gram) if gram[0] > 0 else np.zeros((dvars, dvars))
-        assert np.array_equal(got[k], want)
+        assert np.array_equal(got[k], want[iu, ju])
 
 
 def _random_parents(rng, n: int) -> np.ndarray:
@@ -233,16 +220,24 @@ def test_counts_do_not_depend_on_the_order_of_the_rows(d, seed):
 
 
 @SETTINGS
-@given(datasets())
-def test_split_counts_equal_counts_of_the_restricted_parts(d):
-    if d.n_vars < 2:
-        return
-    for pos, var in enumerate(d.variable_ids.tolist()):
+@given(datasets(), st.integers(0, 2**32 - 1))
+def test_subtracted_child_counts_equal_counts_of_the_restricted_parts(d, seed):
+    # three more columns: one 1 (a one-row child 1, the smaller one from
+    # three rows up), one 0 (a one-row child 0, likewise) and a constant
+    # (an empty child); datasets() adds unit, fractional and zero weights
+    rng = np.random.default_rng(seed)
+    extra = np.zeros((d.n_rows, 3), dtype=np.uint8)
+    extra[:, 1], extra[:, 2] = 1, rng.integers(0, 2)
+    if d.n_rows:
+        extra[rng.integers(d.n_rows), 0] = 1
+        extra[rng.integers(d.n_rows), 1] = 0
+    d = WeightedDataset(np.hstack([d.samples, extra]), d.weights)
+    ids = d.variable_ids.tolist()
+    for cut in _scored_cuts(d, ids, ScoreConfig(), 0.0):
         for c in (0, 1):
-            part = restrict(d, var, c)
-            gram, want = _split_gram(d, pos, c), part.gram_counts()
-            assert gram[0] == want[0]
-            assert np.array_equal(gram[1], want[1]) and np.array_equal(gram[2], want[2])
+            got, want = cut.child_grams[c], restrict(d, cut.var, c).gram_counts()
+            assert got[0] == want[0]
+            assert all(_same_bits(a, b) for a, b in zip(got[1:], want[1:]))
 
 
 @settings(max_examples=60, deadline=None)
