@@ -20,6 +20,7 @@ from .circuit import circuit_log_values, compile_cnet
 from .cnet import (
     CutsetNetwork,
     LearnerConfig,
+    _mpe_completions,
     cnet_mpe,
     cnet_sample,
     learn_cnet,
@@ -33,6 +34,7 @@ from .mixture import (
     mean_log_likelihood,
     mixture_log_density_rows,
 )
+from .numerics import weighted_sum
 from .scores import BD, BIC, ScoreConfig, bd_cnet, bic_cnet, structure_param_count
 from .serialize import load_model, save_model
 
@@ -179,7 +181,7 @@ def cmd_eval(args) -> int:
         rows = circuit_log_values(compile_cnet(model), d.samples)
     else:
         rows = log_density_rows(model, d.samples)
-    total = float(d.weights @ rows)
+    total = weighted_sum(d.weights, rows)
     _emit(n=d.n_rows, total_ll=total, mean_ll=total / d.total_weight)
     if args.via_circuit:
         _emit(via="circuit")
@@ -212,7 +214,7 @@ def _model_mpe(model, evidence: np.ndarray) -> tuple:
         return cnet_mpe(model, evidence)
     # maximize each component; per row, keep the first completion the
     # mixture likes best
-    found = np.stack([cnet_mpe(comp, evidence)[0] for comp in model.components])
+    found = np.stack(_mpe_completions(model.components, evidence))
     scores = np.stack([mixture_log_density_rows(model, v) for v in found])
     best, rows = scores.argmax(axis=0), np.arange(len(evidence))
     return found[best, rows], scores[best, rows]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetError, WeightedDataset, _check_cells, _check_scope
+from .numerics import weighted_sum
 
 __all__ = [
     "ChowLiuTree",
@@ -290,13 +291,14 @@ def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:
     _check_scope(t.variable_ids, d, "tree")
     if d.n_rows == 0:
         return 0.0
-    rows = clt_log_density_rows(t, d.samples)
-    live = d.weights > 0  # 0 * -inf would poison the sum
-    return math.fsum((d.weights[live] * rows[live]).tolist())  # exactly rounded
+    return weighted_sum(d.weights, clt_log_density_rows(t, d.samples))
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
-_log = np.vectorize(math.log, otypes=[float])
+def _each_distinct(fn, a: np.ndarray) -> np.ndarray:
+    """fn of every element of the float array `a`, calling fn once per
+    distinct value: counts repeat, so most calls would repeat too."""
+    distinct, inverse = np.unique(a, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], dtype=float)[inverse].reshape(a.shape)
 
 
 def clt_bd_score(t: ChowLiuTree, d: WeightedDataset, alpha: float) -> float:
@@ -318,9 +320,10 @@ def _bd_scores(tables: np.ndarray, alpha: float) -> np.ndarray:
     variable.  A root's row 1 has no counts, so its term is exactly 0."""
     rows = tables.reshape(len(tables), -1, 2)
     half = alpha / 2
-    terms = math.lgamma(alpha) - _lgamma(alpha + (rows[:, :, 0] + rows[:, :, 1]))
-    terms += _lgamma(half + rows[:, :, 0]) - math.lgamma(half)
-    terms += _lgamma(half + rows[:, :, 1]) - math.lgamma(half)
+    total = alpha + (rows[:, :, 0] + rows[:, :, 1])
+    terms = math.lgamma(alpha) - _each_distinct(math.lgamma, total)
+    terms += _each_distinct(math.lgamma, half + rows[:, :, 0]) - math.lgamma(half)
+    terms += _each_distinct(math.lgamma, half + rows[:, :, 1]) - math.lgamma(half)
     # a sequential sum in this term order: whether a cut with a delta
     # near 0 is accepted can hinge on the last bit
     return np.cumsum(terms, axis=1)[:, -1]
@@ -334,7 +337,7 @@ def _ll_scores(tables: np.ndarray, beta: float) -> np.ndarray:
     rows = tables.reshape(len(tables), -1, 2)
     live = rows > 0
     terms = np.zeros(rows.shape)
-    terms[live] = rows[live] * _log(_smoothed(rows, beta)[live])
+    terms[live] = rows[live] * _each_distinct(math.log, _smoothed(rows, beta)[live])
     return np.cumsum(terms.reshape(len(rows), -1), axis=1)[:, -1]
 
 
@@ -355,31 +358,112 @@ def clt_mpe(t: ChowLiuTree, evidence: np.ndarray) -> tuple:
     0, 1, or -1 for a free variable.  Exact max-product over the tree, for
     all rows at once; an observed value is kept even when it has
     probability 0, and ties go to value 0.  Returns (the (n, n_vars)
-    completions, their log densities).
+    completions, their log densities).  This is the stacked kernel that
+    answers a network's MPE (see _mpe_pairs), on one tree.
     """
     ev = _check_cells(evidence, t.n_vars, cells=(-1, 0, 1))
-    kids = t.children()
-    with np.errstate(divide="ignore"):
-        logcpt = np.log(t.cpt)
-    # msg[v][r, u]: best log score of v's subtree in row r given parent
-    # value u; pick[v][r, u]: the value of v that attains it
-    msg, pick = {}, {}
-    for v in t.order[::-1].tolist():
-        s = logcpt[v][None]  # s[r, u, x], summed in the order of the kids
-        for c in kids[v]:
-            s = s + msg[c][:, None, :]
-        s = np.broadcast_to(s, (ev.shape[0], 2, 2))
-        obs = ev[:, v, None]
-        pick[v] = np.where(obs < 0, s[..., 1] > s[..., 0], obs == 1)
-        msg[v] = np.where(pick[v], s[..., 1], s[..., 0])
+    n = ev.shape[0]
+    leaf, rows = np.zeros(n, dtype=np.intp), np.arange(n)
+    values, scores = _mpe_pairs([t], [np.arange(t.n_vars)], leaf, rows, ev)
+    return values.reshape(n, t.n_vars), scores
 
-    values = np.zeros(ev.shape, dtype=np.uint8)
-    rows = np.arange(ev.shape[0])
-    for v in t.order.tolist():
-        p = t.parents[v]
-        values[:, v] = pick[v][rows, 0 if p < 0 else values[:, p]]
-    # re-evaluate so each score is exactly its completion's density
-    return values, clt_log_density_rows(t, values)
+
+# at most this many (pair, variable) cells, padding included, are in one
+# stack of the MPE kernel, which bounds its temporaries however many
+# leaves a query reaches
+_MPE_CELLS = 1 << 18
+
+
+def _mpe_pairs(trees: list, columns: list, leaf: np.ndarray, rows: np.ndarray, x) -> tuple:
+    """Most probable completion of every (row, leaf) pair p: tree
+    trees[leaf[p]] completes the evidence x[rows[p], columns[leaf[p]]],
+    whose cells are 0, 1 or -1 for free, as clt_mpe does.
+
+    Pairs are stacked widest first, at most _MPE_CELLS padded cells to a
+    stack (see _mpe_stack).  Returns (values, scores): the completions
+    one after another in pair order, each in its tree's local order, and
+    their log densities."""
+    width = np.array([t.n_vars for t in trees], dtype=np.intp)[leaf]
+    start = np.cumsum(width) - width
+    values = np.empty(int(width.sum()), dtype=np.uint8)
+    scores = np.empty(len(leaf))
+    by_width = np.argsort(-width, kind="stable")
+    lo = 0
+    while lo < len(by_width):
+        dvars = int(width[by_width[lo]])
+        stack = by_width[lo : lo + max(1, _MPE_CELLS // dvars)]
+        lo += len(stack)
+        used, local = np.unique(leaf[stack], return_inverse=True)
+        got, scores[stack] = _mpe_stack(
+            [trees[i] for i in used], [columns[i] for i in used], local, rows[stack], x, dvars
+        )
+        real = np.arange(dvars) < width[stack, None]
+        values[(start[stack, None] + np.arange(dvars))[real]] = got[real]
+    return values, scores
+
+
+def _mpe_stack(trees: list, columns: list, leaf, rows, x, dvars: int) -> tuple:
+    """_mpe_pairs on one stack of trees of at most `dvars` variables:
+    ((m, dvars) completions, (m,) log densities) of its m pairs.
+
+    The trees are lowered to (L, dvars) arrays in local index order.  A
+    tree narrower than dvars is padded with variables that have no
+    parent, no child and log CPT 0.  Slot dvars is a dummy parent of
+    every root and padding variable, valued 0.
+
+    Messages run over each tree's vertices by the position of their
+    parent in the tree's order, latest first, siblings in ascending
+    index.  So every child reaches its parent before the parent is
+    maxed out, and each vertex's table s[u, x] is its log CPT plus its
+    children's messages added in ascending index, as clt_mpe defined it.
+    Values then run the other way, parents first, and each score is
+    summed from 0 in the tree's order, so it is its completion's
+    density to the last bit."""
+    n_trees, dummy = len(trees), dvars
+    real = np.arange(dvars) < np.array([t.n_vars for t in trees])[:, None]
+    parents = np.full((n_trees, dvars), dummy)
+    parents[real] = np.concatenate([t.parents for t in trees])
+    parents[parents < 0] = dummy
+    order = np.tile(np.arange(dvars), (n_trees, 1))
+    order[real] = np.concatenate([t.order for t in trees])
+    cols = np.zeros((n_trees, dvars), dtype=np.intp)
+    cols[real] = np.concatenate(columns)
+    cpt = np.ones((n_trees, dvars + 1, 2, 2))
+    cpt[:, :dvars][real] = np.concatenate([t.cpt for t in trees])
+    with np.errstate(divide="ignore"):
+        logcpt = np.log(cpt)
+    pos = np.full((n_trees, dvars + 1), -1)
+    np.put_along_axis(pos, order, np.arange(dvars)[None], axis=1)
+    upward = np.argsort(-np.take_along_axis(pos, parents, axis=1), axis=1, kind="stable")
+
+    # step-major flat cells: at[k, p] holds pair p's vertex at step k,
+    # up[k, p] that vertex's parent
+    n_pairs, width = len(leaf), dvars + 1
+    vertex = upward[leaf]
+    base = np.arange(n_pairs)[:, None] * width
+    at = (base + vertex).T.copy()
+    up = (base + np.take_along_axis(parents[leaf], vertex, axis=1)).T.copy()
+    ev = np.take_along_axis(x[rows[:, None], cols[leaf]], vertex, axis=1).T[..., None]
+    free, one = ev < 0, ev == 1
+    # s[cell, u, x], then each child's message added as it is found
+    s = logcpt[leaf].reshape(-1, 2, 2)
+    pick = np.zeros((n_pairs * width, 2), dtype=bool)
+    for k in range(dvars):
+        sv = s[at[k]]
+        best = np.where(free[k], sv[..., 1] > sv[..., 0], one[k])
+        pick[at[k]] = best
+        s[up[k]] += np.where(best, sv[..., 1], sv[..., 0])[:, None, :]
+
+    values = np.zeros(n_pairs * width, dtype=np.uint8)
+    for k in range(dvars - 1, -1, -1):
+        values[at[k]] = pick[at[k], values[up[k]]]
+    values = values.reshape(n_pairs, width)
+    tree_order = order[leaf]
+    u = np.take_along_axis(values, np.take_along_axis(parents[leaf], tree_order, axis=1), axis=1)
+    xv = np.take_along_axis(values, tree_order, axis=1)
+    # a sequential sum from the first term, in the tree's order
+    scores = np.cumsum(logcpt[leaf[:, None], tree_order, u, xv], axis=1)[:, -1]
+    return values[:, :dvars], scores
 
 
 def clt_param_count(t: ChowLiuTree) -> int:

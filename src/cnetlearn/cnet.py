@@ -25,9 +25,9 @@ from .clt import (
     ChowLiuTree,
     _check_distributions,
     _fit_cpts,
+    _mpe_pairs,
     _smoothed,
     clt_log_density_rows,
-    clt_mpe,
     clt_sample,
     learn_clt,
 )
@@ -309,24 +309,57 @@ def cnet_mpe(net: CutsetNetwork, evidence: np.ndarray) -> tuple:
 
     `evidence` is an (n, n_vars) matrix in scope order whose cells are
     0, 1, or -1 for a free variable.  Bottom-up, each node gets the rows
-    whose evidence allows its path and keeps their best score: an
-    observed cut takes the observed branch, a free cut the branch whose
-    log weight plus best score is higher, branch 0 on a tie.  Top-down,
-    each row follows its chosen branches to a leaf's tree MPE.  Returns
-    (the (n, n_vars) completions, their log densities); the scores are
-    recomputed by the density evaluator, so each pair is exactly
-    self-consistent.
+    whose evidence allows its path and keeps their best score: a leaf its
+    tree's MPE, an observed cut the observed branch, a free cut the
+    branch whose log weight plus best score is higher, branch 0 on a tie.
+    Top-down, each row follows its chosen branches to a leaf's
+    completion.  Returns (the (n, n_vars) completions, their log
+    densities); the scores are recomputed by the density evaluator, so
+    each pair is exactly self-consistent.
     """
-    ev = _check_cells(evidence, net.n_vars, cells=(-1, 0, 1))
-    # best[id(node)] = (its rows, per row the leaf completion or the
-    # branch taken, per row the best log score of the node's subtree)
-    best = {}
+    out = _mpe_completions([net], evidence)[0]
+    return out, cnet_log_density_rows(net, out)
+
+
+def _mpe_completions(nets: list, evidence: np.ndarray) -> list:
+    """cnet_mpe's completions of the evidence rows under each of `nets`,
+    networks over one scope.  The tree MPE of every (row, leaf) pair that
+    any of them reaches comes from one call of the stacked kernel,
+    clt._mpe_pairs."""
+    ev = _check_cells(evidence, nets[0].n_vars, cells=(-1, 0, 1))
     rows = np.arange(ev.shape[0])
-    for node, idx in reversed(list(walk(net.root, rows, _router(net, ev)))):
+    walks = [list(walk(net.root, rows, _router(net, ev))) for net in nets]
+    leaves = [
+        (k, node, idx)
+        for k, nodes in enumerate(walks)
+        for node, idx in nodes
+        if node.kind == "leaf"
+    ]
+    trees = [node.tree for _, node, _ in leaves]
+    columns = [
+        np.searchsorted(nets[k].variable_ids, node.tree.variable_ids) for k, node, _ in leaves
+    ]
+    reached = [idx for _, _, idx in leaves]
+    leaf = np.repeat(np.arange(len(leaves)), [idx.size for idx in reached])
+    values, scores = _mpe_pairs(trees, columns, leaf, np.concatenate([rows[:0], *reached]), ev)
+
+    # best[k][id(node)] = (its rows, per row the leaf completion or the
+    # branch taken, per row the best log score of the node's subtree)
+    best = [{} for _ in nets]
+    cells = pairs = 0
+    for k, node, idx in leaves:
+        width = node.tree.n_vars
+        completions = values[cells : cells + idx.size * width].reshape(idx.size, width)
+        best[k][id(node)] = (idx, completions, scores[pairs : pairs + idx.size])
+        cells, pairs = cells + idx.size * width, pairs + idx.size
+    return [_mpe_decisions(net, ev, nodes, done) for net, nodes, done in zip(nets, walks, best)]
+
+
+def _mpe_decisions(net: CutsetNetwork, ev: np.ndarray, nodes: list, best: dict) -> np.ndarray:
+    """The completions of cnet_mpe, given the (node, rows) pairs that its
+    evidence routes to and the `best` entry of each leaf among them."""
+    for node, idx in reversed(nodes):
         if node.kind == "leaf":
-            cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
-            values, score = clt_mpe(node.tree, ev[np.ix_(idx, cols)])
-            best[id(node)] = (idx, values, score)
             continue
         obs = ev[idx, net.column_of(node.var)]
         total = np.full((2, idx.size), -math.inf)
@@ -338,7 +371,7 @@ def cnet_mpe(net: CutsetNetwork, evidence: np.ndarray) -> tuple:
         best[id(node)] = (idx, branch, np.where(branch, total[1], total[0]))
 
     out = np.zeros(ev.shape, dtype=np.uint8)
-    for node, idx in walk(net.root, rows, _router(net, out)):
+    for node, idx in walk(net.root, np.arange(ev.shape[0]), _router(net, out)):
         reached, chosen, _ = best[id(node)]
         chosen = chosen[np.searchsorted(reached, idx)]
         if node.kind == "decision":
@@ -346,4 +379,4 @@ def cnet_mpe(net: CutsetNetwork, evidence: np.ndarray) -> tuple:
         else:
             cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
             out[np.ix_(idx, cols)] = chosen
-    return out, cnet_log_density_rows(net, out)
+    return out

@@ -9,14 +9,12 @@ starting model.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .clt import _check_distributions
 from .cnet import LearnerConfig, cnet_log_density_rows, learn_cnet
 from .data import DatasetError, WeightedDataset, _check_scope
-from .numerics import log_sum_exp_rows
+from .numerics import log_sum_exp_rows, weighted_sum
 
 __all__ = [
     "Mixture",
@@ -220,11 +218,9 @@ def log_density_rows(model, x: np.ndarray) -> np.ndarray:
 def mean_log_likelihood(model, d: WeightedDataset) -> float:
     """Weighted log-likelihood of `d` per unit weight; zero-weight rows
     are skipped, so a row of zero density only counts when it has weight."""
-    rows = log_density_rows(model, d.samples)
-    live = d.weights > 0
-    # an exactly rounded sum, the same for any BLAS thread count: EM's
-    # stopping test reads it
-    return math.fsum((d.weights[live] * rows[live]).tolist()) / d.total_weight
+    # exactly rounded, so EM's stopping test, which reads it, does not
+    # depend on the BLAS thread count
+    return weighted_sum(d.weights, log_density_rows(model, d.samples)) / d.total_weight
 
 
 def learn_sem(

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["log_gamma", "log_beta", "log_sum_exp_rows"]
+__all__ = ["log_gamma", "log_beta", "log_sum_exp_rows", "weighted_sum"]
 
 
 def log_gamma(x: float) -> float:
@@ -42,3 +42,12 @@ def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:
     if fin.any():
         out[fin] = m[fin] + np.log(np.exp(mat[:, fin] - m[fin]).sum(axis=0))
     return out
+
+
+def weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """Sum of weights * values over the rows of positive weight, so a row
+    of zero weight adds nothing even where its value is -inf.  The sum
+    is exactly rounded (math.fsum), so it does not depend on the order
+    of the rows or on how a BLAS would split it."""
+    live = weights > 0
+    return math.fsum((weights[live] * values[live]).tolist())

@@ -722,7 +722,8 @@ def evidence_dict(row, ids) -> dict:
 
 
 def ref_clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
-    """Max-product over the tree with scalar messages; ties go to 0."""
+    """Max-product over the tree with scalar messages; ties go to 0, and
+    an observed value is kept even when it has probability 0."""
     id_to_local = {int(g): v for v, g in enumerate(t.variable_ids)}
     fixed = {id_to_local[g]: int(val) for g, val in evidence.items()}
 
@@ -736,7 +737,7 @@ def ref_clt_mpe(t: ChowLiuTree, evidence: dict) -> tuple:
         p = t.parents[v]
         n_pvals = 1 if p < 0 else 2
         for u in range(n_pvals):
-            best, best_x = -math.inf, 0
+            best, best_x = -math.inf, fixed.get(v, 0)
             for x in (0, 1):
                 if v in fixed and fixed[v] != x:
                     continue

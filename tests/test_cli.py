@@ -1,16 +1,18 @@
 """End-to-end command-line checks, mostly in-process through main()."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cnetlearn import load_model, save_csv
+from cnetlearn import clt_sample, cnet_log_density_rows, load_csv, load_model, save_csv
 from cnetlearn.cli import main
 
-from helpers import regime_samples, unit_dataset
+from helpers import random_tree, regime_samples, unit_dataset
 
 
 def _write_csv(path, rows):
@@ -149,6 +151,17 @@ def test_eval_matches_component_density(tmp_path, train_csv, capsys):
     assert plain["n"] == mixed["n"] == "200"
 
 
+def test_eval_total_is_exactly_rounded(tmp_path, train_csv, capsys):
+    # so the printed total does not depend on the BLAS thread count
+    model = tmp_path / "model.json"
+    assert main(["learn", str(train_csv), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(model), str(train_csv)]) == 0
+    kv = _parse_kv(capsys.readouterr().out)
+    rows = cnet_log_density_rows(load_model(str(model))[0], load_csv(str(train_csv)).samples)
+    assert kv["total_ll"] == repr(math.fsum(rows.tolist()))
+
+
 def test_eval_via_circuit_agrees(tmp_path, train_csv, capsys):
     model = tmp_path / "model.json"
     assert main(["learn", str(train_csv), "--out", str(model)]) == 0
@@ -189,8 +202,6 @@ def test_sample_roundtrip_and_seeding(tmp_path, train_csv, capsys):
     assert main(["sample", str(model), "--n", "50", "--seed", "5", "--out", str(s3)]) == 0
     assert s1.read_bytes() == s2.read_bytes()
     assert s1.read_bytes() != s3.read_bytes()
-    from cnetlearn import load_csv
-
     drawn = load_csv(str(s1))
     assert drawn.n_rows == 50 and drawn.n_vars == 6
 
@@ -210,8 +221,6 @@ def test_sample_from_mixture(tmp_path, train_csv):
     assert main(argv) == 0
     assert out.read_bytes() == again.read_bytes()
     assert out.read_bytes() != other.read_bytes()
-    from cnetlearn import load_csv
-
     drawn = load_csv(str(out))
     assert drawn.n_rows == 25
 
@@ -271,6 +280,50 @@ def test_mpe_keeps_impossible_evidence(tmp_path):
     assert main(["mpe", str(model), str(ev), "--out", str(out)]) == 0
     cells = out.read_text().strip().split(",")
     assert cells[0] == "1" and cells[4] == "-inf"
+
+
+# sha256 of the `mpe` output file of a BD network learned on sparse rows,
+# on fixed evidence: completions and scores must keep their bytes
+PINNED_MPE = "059e813c7afff8d6423643c4227e9c7c09dba58a2be4cb1941c7d21d39f978ec"
+
+
+def _sparse_rows(rng, n: int, n_vars: int, k: int) -> np.ndarray:
+    """n rows from a uniform mixture of k random trees in which an item
+    is rare (P = 0.01-0.05) unless its parent item is present (0.2-0.5).
+    The first few items spell out the tree's index in binary, so cuts on
+    them separate the trees."""
+    trees = []
+    for c in range(k):
+        tree = random_tree(rng, range(n_vars))
+        p1 = np.stack([rng.uniform(0.01, 0.05, n_vars), rng.uniform(0.2, 0.5, n_vars)], 1)
+        for v in range((k - 1).bit_length()):
+            p1[v] = 0.9 if (c >> v) & 1 else 0.01
+        tree.cpt = np.stack([1.0 - p1, p1], axis=2)
+        trees.append(tree)
+    z = rng.integers(0, k, n)
+    x = np.zeros((n, n_vars), dtype=np.uint8)
+    for c, tree in enumerate(trees):
+        x[z == c] = clt_sample(tree, int(np.sum(z == c)), rng)
+    return x
+
+
+def test_mpe_output_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(2026)
+    rows = _sparse_rows(rng, 4000, 24, 32)
+    train = tmp_path / "train.csv"
+    _write_csv(train, rows[:3960])
+    model = tmp_path / "model.json"
+    assert main(["learn", str(train), "--out", str(model)]) == 0
+    # one free row, then held-out rows with each cell observed with
+    # probability 1/2
+    held = rows[3960:].astype(str)
+    held[rng.random(held.shape) < 0.5] = "?"
+    held[0] = "?"
+    ev = tmp_path / "ev.csv"
+    ev.write_text("".join(",".join(row) + "\n" for row in held))
+    out = tmp_path / "mpe.csv"
+    assert main(["mpe", str(model), str(ev), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MPE
 
 
 def test_mpe_bad_evidence_cell(tmp_path, train_csv, capsys):

@@ -4,6 +4,8 @@ and inference."""
 import json
 import math
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,11 +45,13 @@ from helpers import (
     count_decisions,
     cpt_of,
     enumerate_bits,
+    evidence_dict,
     evidence_matrix,
     induced_path,
     mpe_of,
     random_dataset,
     random_net,
+    ref_cnet_mpe,
     regime_samples,
     routed_decision_counts,
     switch_dataset_16,
@@ -524,20 +528,20 @@ ROOT_ROW = np.array([[0.3, 0.7]])
 COND_ROWS = np.array([[0.8, 0.2], [0.4, 0.6]])
 
 
-def _chain_net():
+def _chain_net(levels: int = CHAIN):
     """Decision i cuts variable i; its branch 0 is a chain-shaped leaf over
-    variables i+1..CHAIN, its branch 1 the next decision.  The leaves
+    variables i+1..levels, its branch 1 the next decision.  The leaves
     share their id, parent, order and CPT arrays, so building is cheap."""
-    ids = np.arange(CHAIN + 1)
-    parents = np.arange(-1, CHAIN)
-    cpt = cpt_of([ROOT_ROW] + [COND_ROWS] * CHAIN)
+    ids = np.arange(levels + 1)
+    parents = np.arange(-1, levels)
+    cpt = cpt_of([ROOT_ROW] + [COND_ROWS] * levels)
 
     def leaf(first):
-        m = CHAIN + 1 - first
+        m = levels + 1 - first
         return Leaf(ChowLiuTree(ids[first:], parents[:m], ids[:m], cpt[:m]))
 
-    node = leaf(CHAIN)
-    for i in range(CHAIN - 1, -1, -1):
+    node = leaf(levels)
+    for i in range(levels - 1, -1, -1):
         node = DecisionNode(i, np.array([0.5, 0.5]), [leaf(i + 1), node])
     return CutsetNetwork(node, ids)
 
@@ -589,3 +593,30 @@ def test_chain_deeper_than_recursion_limit():
         for n in routed_decision_counts(net, d).values()
     )
     assert math.isclose(bd_cnet(net, d, 0.1), want, rel_tol=1e-12)
+
+
+def test_chain_mpe_on_free_rows_stacks_leaves_in_bounded_memory():
+    # 8 free rows reach all 1,101 leaves, of 1 to 1,100 variables: one
+    # stack padding every pair to the widest leaf would hold 8,808 x 1,101
+    # cells, over 300 MB for the max-product tables alone
+    net = _chain_net()
+    ev = np.full((8, CHAIN + 1), -1, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        values, scores = cnet_mpe(net, ev)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert elapsed < 60  # one tree MPE call per leaf took minutes
+    assert scores.tobytes() == cnet_log_density_rows(net, values).tobytes()
+
+    short = _chain_net(150)
+    ev = np.full((2, 151), -1, dtype=np.int8)
+    ev[1, ::3] = 1  # observe every third variable, cut or leaf
+    values, scores = cnet_mpe(short, ev)
+    for r, row in enumerate(ev):
+        want_values, want_score = ref_cnet_mpe(short, evidence_dict(row, short.variable_ids))
+        assert np.array_equal(values[r], want_values) and scores[r] == want_score

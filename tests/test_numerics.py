@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cnetlearn import log_gamma, log_beta, log_sum_exp_rows
+from cnetlearn.numerics import weighted_sum
 
 from helpers import log_sum_exp
 
@@ -133,3 +134,16 @@ def test_log_sum_exp_rows_shape_checks():
         log_sum_exp_rows(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         log_sum_exp_rows(np.zeros(3))
+
+
+def test_weighted_sum_is_exactly_rounded_and_skips_zero_weights():
+    # a sequential sum, and a BLAS dot, lose the 1.0 against 1e16; the
+    # zero-weight row's -inf adds nothing
+    w = np.array([1.0, 1.0, 0.0, 1.0])
+    v = np.array([1e16, 1.0, -math.inf, -1e16])
+    assert weighted_sum(w, v) == 1.0
+    rng = np.random.default_rng(4)
+    w, v = rng.uniform(0, 2, 1000), rng.normal(size=1000) * 1e3
+    perm = rng.permutation(1000)
+    assert weighted_sum(w, v) == weighted_sum(w[perm], v[perm])
+    assert weighted_sum(w, v) == math.fsum((w * v).tolist())

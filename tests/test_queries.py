@@ -3,18 +3,19 @@ references in helpers.py, which answer one evidence dict at a time, and
 the tree density against one that sums one Python float at a time.
 
 Values and scores must agree exactly: the batched passes keep the
-references' float operations and tie rules.  CPT entries and branch
-weights lie in (0, 1), where no evidence is impossible; the -inf cases,
-where the batched pass keeps evidence the references overrode, have
-their own tests.  Half the models draw their probabilities from three
-values only, so that tied scores, and with them the tie rules, are
-common.
+references' float operations and tie rules.  Half the models draw their
+probabilities from three values only, so that tied scores, and with them
+the tie rules, are common.  The MPE kernel stacks the (row, leaf) pairs
+of a query widest first; its tests also run it with stacks of a few
+cells, on trees in any parents-first order, and with CPT cells of
+exactly 0, whose evidence is impossible and scores -inf.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnetlearn import clt as clt_module
 from cnetlearn import (
     ChowLiuTree,
     CutsetNetwork,
@@ -158,3 +159,85 @@ def test_mixture_mpe_keeps_the_first_best_completion():
     m = Mixture([net(0.25), net(0.75)], [0.5, 0.5])
     values, scores = _model_mpe(m, np.array([[-1]]))
     assert values.tolist() == [[0]] and scores[0] == ref_model_mpe(m, {})[1]
+
+
+def _any_parents_first_order(rng, tree: ChowLiuTree) -> None:
+    """Reorder the tree: each next variable is drawn among those whose
+    parent is already placed, so the order is rarely breadth first."""
+    parents = tree.parents.tolist()
+    order, ready = [], [parents.index(-1)]
+    while ready:
+        v = ready.pop(int(rng.integers(0, len(ready))))
+        order.append(v)
+        ready += [c for c, p in enumerate(parents) if p == v]
+    tree.order = np.array(order, dtype=np.int64)
+
+
+def _zero_cells(rng, tree: ChowLiuTree, n_zero: int) -> None:
+    """Set n_zero random CPT cells, root rows included, to exactly 0."""
+    for _ in range(n_zero):
+        v = int(rng.integers(0, tree.n_vars))
+        u = 0 if tree.parents[v] < 0 else int(rng.integers(0, 2))
+        x = int(rng.integers(0, 2))
+        tree.cpt[v, u, x], tree.cpt[v, u, 1 - x] = 0.0, 1.0
+
+
+def _leaf_trees(nets) -> list:
+    return [node.tree for net in nets for node, _ in walk(net.root) if node.kind == "leaf"]
+
+
+def _kernel_runs(stack_cells: int, run):
+    """run() with the MPE kernel's stacks capped at `stack_cells` cells."""
+    kept = clt_module._MPE_CELLS
+    clt_module._MPE_CELLS = stack_cells
+    try:
+        return run()
+    finally:
+        clt_module._MPE_CELLS = kept
+
+
+# the default cap, and one that splits the pairs of one leaf
+STACK_CELLS = st.sampled_from([clt_module._MPE_CELLS, 7])
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(0, 4), STACK_CELLS, st.integers(0, 2**32 - 1))
+def test_tree_mpe_in_any_order_with_zero_cells_equals_reference(n_vars, n_zero, cells, seed):
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    tree = random_tree(rng, ids)
+    _coarsen(rng, tree)
+    _any_parents_first_order(rng, tree)
+    _zero_cells(rng, tree, n_zero)
+    ev = _evidence(rng, ids, [])
+    got = _kernel_runs(cells, lambda: clt_mpe(tree, ev))
+    _assert_matches(got, lambda e: ref_clt_mpe(tree, e), ids, ev)
+
+
+@SETTINGS
+@given(
+    st.integers(10, 16),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    STACK_CELLS,
+    st.integers(0, 2**32 - 1),
+)
+def test_wide_nets_and_mixtures_mpe_equals_reference(n_vars, n_components, n_zero, cells, seed):
+    # up to 15 cuts each, so the leaves reached by one query span many
+    # widths, down to one variable, and share a stack
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    comps = [random_net(rng, ids, 15) for _ in range(n_components)]
+    _coarsen(rng, comps)
+    for tree in _leaf_trees(comps):
+        _any_parents_first_order(rng, tree)
+        _zero_cells(rng, tree, n_zero)
+    ev = _evidence(rng, ids, _cut_vars(comps))
+    if n_components == 1:
+        net = comps[0]
+        got = _kernel_runs(cells, lambda: cnet_mpe(net, ev))
+        _assert_matches(got, lambda e: ref_cnet_mpe(net, e), ids, ev)
+        return
+    m = Mixture(comps, rng.dirichlet(np.ones(n_components)))
+    got = _kernel_runs(cells, lambda: _model_mpe(m, ev))
+    _assert_matches(got, lambda e: ref_model_mpe(m, e), ids, ev)
