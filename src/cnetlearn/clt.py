@@ -65,21 +65,38 @@ class ChowLiuTree:
     def validate(self) -> None:
         """Raise DatasetError unless the order lists every variable once,
         one root first and parents before children, the CPT is a (d, 2, 2)
-        array and every one of its rows is a distribution."""
-        d = self.n_vars
-        if self.parents.shape != (d,) or self.order.shape != (d,):
-            raise DatasetError("a tree needs a parent and an order entry per variable")
-        parents, order = self.parents.tolist(), self.order.tolist()
-        if sorted(order) != list(range(d)) or parents.count(-1) != 1:
-            raise DatasetError("a tree order must list every variable once, one root")
-        placed = {-1}  # so the first variable must be the root
-        for v in order:
-            if parents[v] not in placed:
-                raise DatasetError("a tree order must place parents before children")
-            placed.add(v)
-        if self.cpt.shape != (d, 2, 2):
-            raise DatasetError("a tree's CPT must be one (d, 2, 2) array")
-        _check_distributions(self.cpt.reshape(-1, 2))
+        array and every one of its rows is a distribution: the stacked
+        check of a network's leaves (see _check_trees), on one tree."""
+        _check_trees([self])
+
+
+def _check_trees(trees: list) -> None:
+    """Raise DatasetError unless every tree passes ChowLiuTree.validate,
+    checking all of them at once: one array per field, every tree's
+    variables one after another."""
+    if not trees:
+        return
+    width = np.array([t.n_vars for t in trees], dtype=np.intp)
+    if any(t.parents.shape != (d,) or t.order.shape != (d,) for t, d in zip(trees, width)):
+        raise DatasetError("a tree needs a parent and an order entry per variable")
+    tree_of = np.repeat(np.arange(len(trees)), width)
+    base, size = (np.cumsum(width) - width)[tree_of], width[tree_of]
+    parents = np.concatenate([t.parents for t in trees])
+    order = np.concatenate([t.order for t in trees])
+    local = (order >= 0) & (order < size)
+    seen = np.bincount((order + base)[local], minlength=len(order))
+    roots = np.bincount(tree_of[parents == -1], minlength=len(trees))
+    if not (local.all() and (seen == 1).all() and (roots == 1).all()):
+        raise DatasetError("a tree order must list every variable once, one root")
+    pos = np.empty(len(order), dtype=np.intp)  # each variable's place in its order
+    pos[order + base] = np.arange(len(order)) - base
+    inner = (parents >= 0) & (parents < size)
+    early = pos[np.where(inner, parents + base, 0)] < pos
+    if not ((parents == -1) | (inner & early)).all():
+        raise DatasetError("a tree order must place parents before children")
+    if any(t.cpt.shape != (d, 2, 2) for t, d in zip(trees, width)):
+        raise DatasetError("a tree's CPT must be one (d, 2, 2) array")
+    _check_distributions(np.concatenate([t.cpt for t in trees]).reshape(-1, 2))
 
 
 def _check_distributions(rows: np.ndarray) -> None:
@@ -268,14 +285,72 @@ def learn_clt(d: WeightedDataset, beta: float) -> ChowLiuTree:
 
 
 def clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndarray:
-    """Per-row log density of the assignments in `x`, an integer matrix.
+    """Per-row log density of the assignments in `x`, an integer matrix
+    of 0/1 cells.
 
     `columns[v]` gives the column of x holding tree-local variable v;
     by default the columns are the tree scope in order.  Terms are added
-    in tree order, one variable at a time.
+    in tree order, one variable at a time.  This is the kernel that
+    scores every leaf a network's rows reach (see _leaf_log_densities),
+    on one tree.
     """
     if columns is None:
         columns = np.arange(t.n_vars)
+    return _leaf_log_densities([t], [np.asarray(columns)], [np.arange(x.shape[0])], x)
+
+
+# at most this many (row, variable) cells, padding included, are in one
+# stack of the density kernel, which bounds its temporaries
+_DENSITY_CELLS = 1 << 14
+# a leaf that at least this many rows reach is scored one variable at a
+# time: a numpy call per variable then costs less than the stacked
+# kernel's extra passes over the leaf's (rows x variables) cells
+_LOOP_ROWS = 512
+
+
+def _leaf_log_densities(trees: list, columns: list, reached: list, x: np.ndarray) -> np.ndarray:
+    """Log density under tree trees[i] of x[r, columns[i]], for every row
+    r of reached[i]: leaf after leaf, each in its rows' order.  `x` is an
+    integer matrix of 0/1 cells, and each reached[i] holds distinct rows
+    in ascending order.
+
+    A leaf that at least _LOOP_ROWS rows reach is scored one variable at
+    a time (_loop_leaf); the others are stacked widest first, at most
+    _DENSITY_CELLS padded cells to a stack (_density_stack).  Either way
+    each density is its terms summed from 0.0 in its tree's order, so
+    both give it the same bits."""
+    x = np.ascontiguousarray(x)
+    sizes = np.array([len(r) for r in reached], dtype=np.intp)
+    start = np.cumsum(sizes) - sizes
+    out = np.empty(int(sizes.sum()))
+    small = []
+    for i, (t, cols, rows) in enumerate(zip(trees, columns, reached)):
+        if sizes[i] >= _LOOP_ROWS:
+            out[start[i] : start[i] + sizes[i]] = _loop_leaf(t, cols, rows, x)
+        elif sizes[i]:
+            small.append(i)
+    small.sort(key=lambda i: -trees[i].n_vars)
+    if not small:
+        return out
+    lowered = _lowered([trees[i] for i in small], [columns[i] for i in small])
+    width = np.array([trees[i].n_vars for i in small])
+    leaf = np.repeat(np.arange(len(small)), sizes[small])
+    rows = np.concatenate([reached[i] for i in small])
+    dest = np.concatenate([np.arange(start[i], start[i] + sizes[i]) for i in small])
+    lo = 0
+    while lo < len(rows):
+        dvars = int(width[leaf[lo]])
+        hi = lo + max(1, _DENSITY_CELLS // dvars)
+        out[dest[lo:hi]] = _density_stack(lowered, leaf[lo:hi], rows[lo:hi], x, dvars)
+        lo = hi
+    return out
+
+
+def _loop_leaf(t: ChowLiuTree, columns: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The log densities of one leaf, added one variable at a time in
+    tree order for all its rows at once."""
+    if len(rows) < x.shape[0]:  # else the rows are all of x, in order
+        x = x[rows]
     with np.errstate(divide="ignore"):
         logcpt = np.log(t.cpt)
     ll = np.zeros(x.shape[0])
@@ -283,6 +358,57 @@ def clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.ndar
         u = 0 if p < 0 else x[:, columns[p]]
         ll += logcpt[v, u, x[:, columns[v]]]
     return ll
+
+
+def _lowered(trees: list, columns: list) -> tuple:
+    """(col, parent_col, code, logt): trees of at most trees[0].n_vars
+    variables, x's columns of each in `columns`, lowered to tables by
+    position in tree order and tree.  col[k, l] is the column of x that
+    holds tree l's k-th variable, and parent_col[k, l] its parent's; a
+    root reads its own column as its parent's.  The variables are
+    numbered one tree after another, and number V, past the last, pads
+    each tree to trees[0].n_vars positions.  code[k, l] is 4 times the
+    number, and logt[4 g + 2 u + x] the log CPT of number g at parent
+    value u and value x: 0 for the padding, and a root's row 0 for
+    either u."""
+    width = np.array([t.n_vars for t in trees], dtype=np.intp)
+    n_vars = int(width.sum())
+    base = np.repeat(np.cumsum(width) - width, width)
+    parents = np.concatenate([t.parents for t in trees])
+    root = parents < 0
+    col = np.zeros(n_vars + 1, dtype=np.intp)
+    col[:n_vars] = np.concatenate(columns)
+    parent_col = col.copy()
+    parent_col[:n_vars] = col[np.where(root, np.arange(n_vars), parents + base)]
+    cpt = np.concatenate([t.cpt for t in trees])
+    cpt[root, 1] = cpt[root, 0]
+    logt = np.zeros((n_vars + 1, 4))
+    with np.errstate(divide="ignore"):
+        logt[:n_vars] = np.log(cpt).reshape(n_vars, 4)
+    number = np.full((len(trees), width[0]), n_vars)
+    number[np.arange(width[0]) < width[:, None]] = np.concatenate([t.order for t in trees]) + base
+    number = np.ascontiguousarray(number.T)
+    return col[number], parent_col[number], 4 * number, logt.ravel()
+
+
+def _density_stack(lowered: tuple, leaf: np.ndarray, rows: np.ndarray, x, dvars: int):
+    """The log densities of one stack of (leaf, row) pairs whose trees
+    have at most `dvars` variables, from the _lowered trees.  Each pair's
+    terms are laid out by position in a (dvars, pairs) array, padding
+    adding 0.0 after its tree's last variable, and summed in sequence
+    down the positions."""
+    *tables, logt = lowered
+    col, parent_col, code = (table[:dvars, leaf] for table in tables)
+    first = rows * x.shape[1]  # each pair's row's first cell in x, flat
+    col += first
+    parent_col += first
+    cells = x.reshape(-1)
+    u = cells[parent_col]
+    code += u
+    code += u
+    code += cells[col]
+    terms = logt[code]
+    return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 def clt_log_likelihood(t: ChowLiuTree, d: WeightedDataset) -> float:

@@ -16,6 +16,7 @@ end the recursion.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,10 +25,11 @@ import numpy as np
 from .clt import (
     ChowLiuTree,
     _check_distributions,
+    _check_trees,
     _fit_cpts,
+    _leaf_log_densities,
     _mpe_pairs,
     _smoothed,
-    clt_log_density_rows,
     clt_sample,
     learn_clt,
 )
@@ -106,23 +108,33 @@ class CutsetNetwork:
         """Raise DatasetError unless the ids ascend, every decision node has
         two children and two weights and cuts a variable of its scope, every
         leaf tree is well formed over exactly the scope its path leaves, and
-        every CPT row and decision weight pair is a distribution."""
-        ids = self.variable_ids
+        every CPT row and decision weight pair is a distribution: the check
+        of a model's networks (see _check_nets), on one network."""
+        _check_nets([self])
+
+
+def _check_nets(nets: list) -> None:
+    """Raise DatasetError unless every network in `nets` passes
+    CutsetNetwork.validate.  The leaf trees of all of them are checked
+    at once (see clt._check_trees), and so are their decision weights."""
+    trees, weights = [], []
+    for net in nets:
+        ids = net.variable_ids
         if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
             raise DatasetError("network variable ids must be distinct and ascending")
-        weights = []
-        for node, scope in walk(self.root, ids, lambda n, s, k: s[s != n.var]):
+        for node, scope in walk(net.root, ids, lambda n, s, k: s[s != n.var]):
             if node.kind == "leaf":
                 if node.tree.variable_ids.tolist() != scope.tolist():
                     raise DatasetError("a leaf must cover the scope its path leaves")
-                node.tree.validate()
+                trees.append(node.tree)
                 continue
             if len(node.children) != 2 or np.shape(node.weights) != (2,):
                 raise DatasetError("a decision node needs two children and two weights")
             if node.var not in scope.tolist():
                 raise DatasetError(f"decision variable {node.var} is not in its scope")
             weights.append(node.weights)
-        _check_distributions(np.reshape(weights, (-1, 2)))
+    _check_trees(trees)
+    _check_distributions(np.reshape(weights, (-1, 2)))
 
 
 @dataclass
@@ -273,21 +285,42 @@ def _log_weight(node, k: int) -> float:
 
 def cnet_log_density_rows(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
     """Per-row log density of full assignments given in scope order."""
-    x = _check_cells(x, net.n_vars)
-    ll = np.zeros(x.shape[0])
-    by_value = _router(net, x)
+    return _log_densities([net], x)[0]
 
-    def route(node, idx, k):
-        sub = by_value(node, idx, k)
-        if sub is not None:
-            ll[sub] += _log_weight(node, k)
-        return sub
 
-    for node, idx in walk(net.root, np.arange(x.shape[0]), route):
-        if node.kind == "leaf" and idx.size:
-            cols = np.searchsorted(net.variable_ids, node.tree.variable_ids)
-            ll[idx] += clt_log_density_rows(node.tree, x[idx], columns=cols)
-    return ll
+def _log_densities(nets: list, x: np.ndarray) -> np.ndarray:
+    """(len(nets), n) log densities of the full assignments x under each
+    of `nets`, networks over one scope.  A row's density is the log
+    weights of its path added root to leaf from 0.0, plus its leaf's
+    density; those of every leaf that rows reach, in any of the nets,
+    come from one call of the stacked kernel, clt._leaf_log_densities."""
+    x = _check_cells(x, nets[0].n_vars)
+    out = np.empty((len(nets), x.shape[0]))
+    if not out.size:
+        return out
+    column = {v: c for c, v in enumerate(nets[0].variable_ids.tolist())}
+
+    def route(node, item, k):
+        idx, path = item
+        sub = idx[x[idx, column[node.var]] == k]
+        return (sub, path + _log_weight(node, k)) if sub.size else None
+
+    owner, trees, reached, paths = zip(
+        *(
+            (k, node.tree, idx, path)
+            for k, net in enumerate(nets)
+            for node, (idx, path) in walk(net.root, (np.arange(x.shape[0]), 0.0), route)
+            if node.kind == "leaf"
+        )
+    )
+    ends = list(itertools.accumulate(t.n_vars for t in trees))
+    cols = np.searchsorted(nets[0].variable_ids, np.concatenate([t.variable_ids for t in trees]))
+    columns = [cols[a:b] for a, b in zip([0, *ends], ends)]
+    sizes = [idx.size for idx in reached]
+    out[np.repeat(owner, sizes), np.concatenate(reached)] = np.repeat(
+        paths, sizes
+    ) + _leaf_log_densities(trees, columns, reached, x)
+    return out
 
 
 def cnet_sample(net: CutsetNetwork, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clt import _check_distributions
-from .cnet import LearnerConfig, cnet_log_density_rows, learn_cnet
+from .cnet import LearnerConfig, _log_densities, cnet_log_density_rows, learn_cnet
 from .data import DatasetError, WeightedDataset, _check_scope
 from .numerics import log_sum_exp_rows, weighted_sum
 
@@ -62,9 +62,7 @@ def _component_log_matrix(m: Mixture, x: np.ndarray) -> np.ndarray:
     """(K, n) matrix of log a_k + log p_k(row)."""
     with np.errstate(divide="ignore"):
         logw = np.log(m.mix_weights)
-    return np.stack(
-        [logw[k] + cnet_log_density_rows(c, x) for k, c in enumerate(m.components)]
-    )
+    return logw[:, None] + _log_densities(m.components, x)
 
 
 def mixture_log_density_rows(m: Mixture, x: np.ndarray) -> np.ndarray:
@@ -99,7 +97,6 @@ def kmeans_init(d: WeightedDataset, n_clusters: int, rng: np.random.Generator) -
             f"{n_clusters} clusters need at least as many positive-weight rows"
         )
 
-    x = d.samples.astype(np.float64)
     uniq, inverse = np.unique(d.samples, axis=0, return_inverse=True)
     if len(uniq) < n_clusters:
         assign = np.arange(d.n_rows) % n_clusters
@@ -122,18 +119,22 @@ def kmeans_init(d: WeightedDataset, n_clusters: int, rng: np.random.Generator) -
             best_d2 = d2 if best_d2 is None else np.minimum(best_d2, d2)
             p = uw * best_d2
 
+        # Lloyd's iterations run on the distinct rows and their summed
+        # weights; weights are exact (see WeightedDataset), so each
+        # centroid has the bits it has over all the rows
+        x = uniq.astype(np.float64)
         for _ in range(100):
             assign = _pairwise_sq_dists(x, centers).argmin(axis=1)
             new_centers = centers.copy()
             for k in range(n_clusters):
-                wk = d.weights[assign == k]
+                wk = uw[assign == k]
                 if wk.sum() > 0:
                     new_centers[k] = (wk @ x[assign == k]) / wk.sum()
             move = float(np.abs(new_centers - centers).max())
             centers = new_centers
             if move < 1e-6:
                 break
-        assign = _pairwise_sq_dists(x, centers).argmin(axis=1)
+        assign = _pairwise_sq_dists(x, centers).argmin(axis=1)[inverse]
 
     # every part must keep positive weight for the learners downstream;
     # top up starved parts from the one holding the most live rows

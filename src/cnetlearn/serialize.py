@@ -8,12 +8,13 @@ learned with plus a free-form provenance block.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .clt import ChowLiuTree
-from .cnet import CutsetNetwork, DecisionNode, Leaf, walk
+from .cnet import CutsetNetwork, DecisionNode, Leaf, _check_nets, walk
 from .data import DatasetError
 from .mixture import Mixture
 from .scores import ScoreConfig
@@ -41,26 +42,6 @@ def _tree_to_dict(t: ChowLiuTree) -> dict:
     }
 
 
-def _tree_from_dict(obj: dict) -> ChowLiuTree:
-    """The tree of a file's dict, its 1x2 and 2x2 tables filled into one
-    (d, 2, 2) CPT whose root row 1 reads (0.5, 0.5)."""
-    parents = np.array(obj["parents"], dtype=np.int64)
-    tables = obj["cpt"]
-    widths = [[len(row) for row in table] for table in tables]
-    if widths != [[2] if p < 0 else [2, 2] for p in parents.tolist()]:
-        raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
-    has_row = np.stack([np.ones(len(parents), dtype=bool), parents >= 0], axis=1)
-    cpt = np.full((len(parents), 2, 2), 0.5)
-    rows = [row for table in tables for row in table]
-    cpt[has_row] = np.array(rows, dtype=np.float64).reshape(-1, 2)
-    return ChowLiuTree(
-        np.array(obj["variable_ids"], dtype=np.int64),
-        parents,
-        np.array(obj["order"], dtype=np.int64),
-        cpt,
-    )
-
-
 def _net_to_dict(net: CutsetNetwork) -> dict:
     done = {}  # id(node) -> its dict, children first
     for node, _ in reversed(list(walk(net.root))):
@@ -80,25 +61,76 @@ def _net_to_dict(net: CutsetNetwork) -> dict:
     }
 
 
-def _node_from_dict(obj: dict):
-    """One node; a decision node's children are left for the caller."""
-    kind = obj.get("kind")
-    if kind == "leaf":
-        return Leaf(_tree_from_dict(obj["tree"]))
-    if kind == "decision":
-        weights = np.array(obj["weights"], dtype=np.float64)
-        return DecisionNode(int(obj["var"]), weights, [])
-    raise DatasetError(f"unknown node kind {kind!r} in model file")
+def _views(lists: list, dtype) -> tuple:
+    """(flat, views): one array of the items of every list in `lists`,
+    and a view of it per list."""
+    if not all(isinstance(seq, list) for seq in lists):
+        raise DatasetError("model file fields must be lists of numbers")
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=dtype)
+    ends = list(itertools.accumulate(map(len, lists)))
+    return flat, [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _net_from_dict(obj: dict) -> CutsetNetwork:
-    root = _node_from_dict(obj["root"])
-    for node, node_obj in walk(root, obj["root"], lambda n, o, k: o["children"][k]):
-        if node.kind == "decision":
-            node.children = [_node_from_dict(c) for c in node_obj["children"]]
-    net = CutsetNetwork(root, np.array(obj["variable_ids"], dtype=np.int64))
-    net.validate()
-    return net
+def _trees_from_dicts(objs: list) -> list:
+    """The trees of a file's tree dicts, parsed together: each field is
+    one array for every tree, and each tree holds views into it.  A
+    tree's 1x2 and 2x2 tables fill its (d, 2, 2) CPT, whose root row 1
+    reads (0.5, 0.5)."""
+    _, ids = _views([o["variable_ids"] for o in objs], np.int64)
+    every_parent, parents = _views([o["parents"] for o in objs], np.int64)
+    _, order = _views([o["order"] for o in objs], np.int64)
+    per_tree = [o["cpt"] for o in objs]
+    tables = list(itertools.chain.from_iterable(per_tree))
+    rows = list(itertools.chain.from_iterable(tables))
+    if (
+        list(map(len, per_tree)) != list(map(len, parents))
+        or list(map(len, tables)) != (1 + (every_parent >= 0)).tolist()
+        or set(map(len, rows)) - {2}
+    ):
+        raise DatasetError("CPT tables must be 1x2 at the tree root, 2x2 elsewhere")
+    has_row = np.stack([np.ones(len(every_parent), dtype=bool), every_parent >= 0], axis=1)
+    cpt = np.full((len(every_parent), 2, 2), 0.5)
+    cpt[has_row] = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(-1, 2)
+    ends = list(itertools.accumulate(map(len, parents)))
+    return [
+        ChowLiuTree(ids[k], parents[k], order[k], cpt[a:b])
+        for k, (a, b) in enumerate(zip([0, *ends], ends))
+    ]
+
+
+def _nets_from_dicts(objs: list) -> list:
+    """The validated networks of a file's network dicts.  The trees of all
+    of them are parsed in one pass (see _trees_from_dicts) and checked in
+    one pass (see cnet._check_nets), and so are the weights of all their
+    decision nodes."""
+    leaves, tree_objs, decisions, weight_objs = [], [], [], []
+
+    def node_of(obj):
+        # one node; a decision node's children are left for the walk
+        kind = obj.get("kind")
+        if kind == "leaf":
+            leaves.append(Leaf(None))
+            tree_objs.append(obj["tree"])
+            return leaves[-1]
+        if kind == "decision":
+            decisions.append(DecisionNode(int(obj["var"]), None, []))
+            weight_objs.append(obj["weights"])
+            return decisions[-1]
+        raise DatasetError(f"unknown node kind {kind!r} in model file")
+
+    nets = []
+    for obj in objs:
+        root = node_of(obj["root"])
+        for node, node_obj in walk(root, obj["root"], lambda n, o, k: o["children"][k]):
+            if node.kind == "decision":
+                node.children = [node_of(c) for c in node_obj["children"]]
+        nets.append(CutsetNetwork(root, np.array(obj["variable_ids"], dtype=np.int64)))
+    for leaf, tree in zip(leaves, _trees_from_dicts(tree_objs)):
+        leaf.tree = tree
+    for node, weights in zip(decisions, _views(weight_objs, np.float64)[1]):
+        node.weights = weights
+    _check_nets(nets)
+    return nets
 
 
 def _score_to_dict(cfg: ScoreConfig) -> dict:
@@ -146,9 +178,9 @@ def model_from_dict(obj: dict):
     provenance = obj.get("provenance", {})
     kind = obj.get("kind")
     if kind == "cnet":
-        return _net_from_dict(obj["net"]), score, provenance
+        return _nets_from_dicts([obj["net"]])[0], score, provenance
     if kind == "mixture":
-        components = [_net_from_dict(c) for c in obj["components"]]
+        components = _nets_from_dicts(obj["components"])
         model = Mixture(components, np.array(obj["mix_weights"], dtype=np.float64))
         return model, score, provenance
     raise DatasetError(f"unknown model kind {kind!r}")
@@ -183,5 +215,5 @@ def load_model(path):
         return model_from_dict(obj)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: not a valid model file: {exc!r}") from exc

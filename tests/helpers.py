@@ -694,6 +694,40 @@ def ref_clt_log_density_rows(t: ChowLiuTree, x: np.ndarray, columns=None) -> np.
     return np.array(out)
 
 
+def ref_cnet_log_density_rows(net: CutsetNetwork, x: np.ndarray) -> np.ndarray:
+    """Each row's log density as it was summed one leaf and one variable at
+    a time: from 0.0, the log weight of each branch on the row's path,
+    root first, then the row's ref_clt_log_density_rows under its leaf.
+    A row that reaches no leaf reads NaN."""
+    x = np.asarray(x)
+    ids = net.variable_ids.tolist()
+    out = np.full(len(x), np.nan)
+
+    def route(node, item, k):
+        rows, path = item
+        w = float(node.weights[k])
+        sub = rows[x[rows, ids.index(node.var)] == k]
+        return sub, path + (math.log(w) if w > 0 else -math.inf)
+
+    for node, (rows, path) in walk(net.root, (np.arange(len(x)), 0.0), route):
+        if node.kind == "leaf":
+            cols = [ids.index(v) for v in node.tree.variable_ids.tolist()]
+            leaf = ref_clt_log_density_rows(node.tree, x[rows], cols)
+            out[rows] = [path + float(v) for v in leaf]
+    return out
+
+
+def ref_mixture_log_density_rows(m: Mixture, x: np.ndarray) -> np.ndarray:
+    """Each component's ref_cnet_log_density_rows plus its log weight, then
+    a log-sum-exp over the components."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(m.mix_weights)
+    stacked = np.stack(
+        [logw[k] + ref_cnet_log_density_rows(c, x) for k, c in enumerate(m.components)]
+    )
+    return log_sum_exp_rows(stacked)
+
+
 # ---------------------------------------------------------------------------
 # per-row MPE references: one {global id: value} evidence dict at a time,
 # as the library answered queries before it took evidence matrices

@@ -415,33 +415,61 @@ def test_malformed_csv_is_usage_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _first_leaf(node: dict) -> dict:
-    while node["kind"] == "decision":
-        node = node["children"][0]
-    return node
+def _trees(net: dict) -> list:
+    """The tree dict of every leaf of a network dict, child 0's subtree
+    first."""
+    out, stack = [], [net["root"]]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "leaf":
+            out.append(node["tree"])
+        else:
+            stack.extend(reversed(node["children"]))
+    return out
 
 
-def _first_tree(model: dict) -> dict:
-    return _first_leaf(model["net"]["root"])["tree"]
-
-
-def _first_cpt(model: dict) -> list:
-    return _first_tree(model)["cpt"][0]
-
-
-def _tree_table(model: dict, k: int) -> list:
-    """The CPT table of the first tree's k-th variable in tree order."""
-    tree = _first_tree(model)
+def _table(tree: dict, k: int) -> list:
+    """The CPT table of the tree's k-th variable in tree order."""
     return tree["cpt"][tree["order"][k]]
 
 
-def _claim_root_var(model: dict) -> None:
-    _first_tree(model)["variable_ids"][0] = model["net"]["root"]["var"]
-
-
-def _repeat_root_in_order(model: dict) -> None:
-    order = _first_tree(model)["order"]
+def _repeat_root_in_order(tree: dict) -> None:
+    order = tree["order"]
     order[-1] = order[0]
+
+
+def _second_root(tree: dict) -> None:
+    # a root's table is 1x2, so the file stays well shaped
+    v = tree["order"][1]
+    tree["parents"][v] = -1
+    tree["cpt"][v] = tree["cpt"][v][:1]
+
+
+def _parent_out_of_range(tree: dict) -> None:
+    tree["parents"][tree["order"][1]] = len(tree["parents"])
+
+
+# (id, damage to a tree dict given the network dict, problem named)
+TREE_DAMAGES = [
+    ("cpt-row-not-distribution", lambda n, t: t["cpt"][0].__setitem__(0, [0.9, 0.9]), "sum to 1"),
+    ("cpt-wrong-shape", lambda n, t: t["cpt"][0][0].append(0.0), "1x2"),
+    ("cpt-root-two-rows", lambda n, t: _table(t, 0).append([0.5, 0.5]), "1x2"),
+    ("cpt-child-one-row", lambda n, t: _table(t, 1).pop(), "1x2"),
+    ("cpt-table-missing", lambda n, t: t["cpt"].pop(), "1x2"),
+    (
+        "leaf-scope",
+        lambda n, t: t["variable_ids"].__setitem__(0, n["root"]["var"]),
+        "the scope its path leaves",
+    ),
+    ("order-repeats-root", lambda n, t: _repeat_root_in_order(t), "list every variable once"),
+    ("parent-out-of-range", lambda n, t: _parent_out_of_range(t), "parents before children"),
+    ("two-roots", lambda n, t: _second_root(t), "one root"),
+]
+
+
+def _on_tree(damage, which: int):
+    """`damage` applied to tree `which` of the model's network."""
+    return lambda m: damage(m["net"], _trees(m["net"])[which])
 
 
 @pytest.mark.parametrize(
@@ -453,13 +481,9 @@ def _repeat_root_in_order(model: dict) -> None:
         (lambda m: m["net"]["root"].__setitem__("var", None), "not a valid model file"),
         (lambda m: m["net"]["root"].__setitem__("children", []), "two children"),
         (lambda m: m["net"]["root"].__setitem__("weights", [0.9, 0.9]), "sum to 1"),
-        (lambda m: _first_cpt(m).__setitem__(0, [0.9, 0.9]), "sum to 1"),
-        (lambda m: _first_cpt(m)[0].append(0.0), "1x2"),
-        (lambda m: _tree_table(m, 0).append([0.5, 0.5]), "1x2"),
-        (lambda m: _tree_table(m, 1).pop(), "1x2"),
-        (lambda m: _first_tree(m)["cpt"].pop(), "1x2"),
-        (_claim_root_var, "the scope its path leaves"),
-        (_repeat_root_in_order, "list every variable once"),
+        (lambda m: _trees(m["net"])[-1]["parents"].__setitem__(0, 2**70), "not a valid"),
+        *((_on_tree(damage, 0), problem) for _, damage, problem in TREE_DAMAGES),
+        *((_on_tree(damage, -1), problem) for _, damage, problem in TREE_DAMAGES),
     ],
     ids=[
         "no-root",
@@ -468,18 +492,16 @@ def _repeat_root_in_order(model: dict) -> None:
         "var-not-int",
         "no-children",
         "weights-not-distribution",
-        "cpt-row-not-distribution",
-        "cpt-wrong-shape",
-        "cpt-root-two-rows",
-        "cpt-child-one-row",
-        "cpt-table-missing",
-        "leaf-scope",
-        "order-repeats-root",
+        "parent-overflows-int64",
+        *(name for name, _, _ in TREE_DAMAGES),
+        *(f"{name}-last-leaf" for name, _, _ in TREE_DAMAGES),
     ],
 )
 def test_malformed_model_file_is_usage_error(
     tmp_path, train_csv, capsys, damage, problem
 ):
+    # tree damages hit the first leaf, and then the last one, which the
+    # loader parses and checks stacked with the others
     model = tmp_path / "model.json"
     assert main(["learn", str(train_csv), "--out", str(model)]) == 0
     obj = json.loads(model.read_text())
@@ -490,6 +512,28 @@ def test_malformed_model_file_is_usage_error(
     assert main(["eval", str(model), str(train_csv)]) == 2
     err = capsys.readouterr().err
     assert str(model) in err and problem in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "damage, problem", [(damage, problem) for _, damage, problem in TREE_DAMAGES],
+    ids=[name for name, _, _ in TREE_DAMAGES],
+)
+def test_malformed_mixture_tree_is_usage_error(tmp_path, train_csv, capsys, damage, problem):
+    # the last leaf of the last component: a mixture's trees are parsed
+    # and checked together
+    mix = tmp_path / "mix.json"
+    argv = ["learn-mixture", str(train_csv), "--components", "2", "--out", str(mix)]
+    assert main(argv) == 0
+    obj = json.loads(mix.read_text())
+    net = obj["components"][-1]
+    assert net["root"]["kind"] == "decision"
+    damage(net, _trees(net)[-1])
+    mix.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval", str(mix), str(train_csv)]) == 2
+    err = capsys.readouterr().err
+    assert str(mix) in err and problem in err
     assert "internal error" not in err
 
 

@@ -1,6 +1,7 @@
 """Chow-Liu trees: structure optimality, scores, sampling, MPE."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from cnetlearn import (
     learn_clt,
     mutual_information,
 )
+from cnetlearn.clt import _check_trees
 
 from helpers import (
     all_spanning_trees,
@@ -194,6 +196,46 @@ def test_validate_raises_dataset_error(damage):
     damage(t)
     with pytest.raises(DatasetError):
         t.validate()
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda t: setattr(t, "parents", t.parents[:-1].copy()), "a parent and an order entry"),
+        (lambda t: t.order.__setitem__(2, t.order[0]), "list every variable once, one root"),
+        (lambda t: t.parents.__setitem__(t.order[2], -1), "list every variable once, one root"),
+        (lambda t: t.order.__setitem__(0, 7), "list every variable once, one root"),
+        (lambda t: setattr(t, "order", t.order[::-1].copy()), "place parents before children"),
+        (lambda t: t.parents.__setitem__(t.order[2], 3), "place parents before children"),
+        (lambda t: t.parents.__setitem__(t.order[2], -2), "place parents before children"),
+        (lambda t: t.parents.__setitem__(t.order[2], t.order[2]), "place parents before children"),
+        (lambda t: setattr(t, "cpt", t.cpt[:, :1]), "one (d, 2, 2) array"),
+        (lambda t: t.cpt.__setitem__((1, 1), [0.9, 0.9]), "sum to 1"),
+    ],
+    ids=[
+        "parents-short",
+        "order-repeats-root",
+        "two-roots",
+        "order-out-of-range",
+        "children-first",
+        "parent-out-of-range",
+        "parent-below-minus-one",
+        "own-parent",
+        "cpt-not-d22",
+        "row-sum",
+    ],
+)
+def test_validate_names_the_problem_alone_and_stacked(damage, problem):
+    # one tree's validate, and the stacked check with the damaged tree
+    # last among well-formed trees of other widths
+    rng = np.random.default_rng(31)
+    good = [learn_clt(random_dataset(rng, 20, n), 0.1) for n in (1, 5, 2)]
+    t = learn_clt(unit_dataset([[0, 0, 1], [1, 1, 0], [1, 1, 1]]), 0.1)
+    _check_trees([*good, t])
+    damage(t)
+    for check in (t.validate, lambda: _check_trees([*good, t])):
+        with pytest.raises(DatasetError, match=re.escape(problem)):
+            check()
 
 
 def test_learn_clt_deterministic():

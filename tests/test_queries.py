@@ -1,15 +1,18 @@
 """Differential tests: the batched MPE queries against the per-row
 references in helpers.py, which answer one evidence dict at a time, and
-the tree density against one that sums one Python float at a time.
+the densities against references that sum one Python float at a time,
+one leaf after another.
 
 Values and scores must agree exactly: the batched passes keep the
 references' float operations and tie rules.  Half the models draw their
 probabilities from three values only, so that tied scores, and with them
-the tie rules, are common.  The MPE kernel stacks the (row, leaf) pairs
-of a query widest first; its tests also run it with stacks of a few
-cells, on trees in any parents-first order, and with CPT cells of
-exactly 0, whose evidence is impossible and scores -inf.
+the tie rules, are common.  The MPE and density kernels stack the (row,
+leaf) pairs of a query widest first; their tests also run them with
+stacks of a few cells, on trees in any parents-first order, and with CPT
+cells of exactly 0, whose evidence is impossible and scores -inf.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +26,9 @@ from cnetlearn import (
     Mixture,
     clt_log_density_rows,
     clt_mpe,
+    cnet_log_density_rows,
     cnet_mpe,
+    mixture_log_density_rows,
 )
 from cnetlearn.cli import _model_mpe
 from cnetlearn.cnet import walk
@@ -31,11 +36,14 @@ from cnetlearn.cnet import walk
 from helpers import (
     cpt_of,
     evidence_dict,
+    induced_path,
     random_net,
     random_tree,
     ref_clt_log_density_rows,
     ref_clt_mpe,
+    ref_cnet_log_density_rows,
     ref_cnet_mpe,
+    ref_mixture_log_density_rows,
     ref_model_mpe,
 )
 
@@ -94,9 +102,16 @@ def _assert_matches(batched, reference, ids, ev) -> None:
         assert scores[r] == want_score, r
 
 
+# the density kernel's default caps; caps that split one leaf's rows
+# over several stacks; and ones that score leaves of a few rows one
+# variable at a time
+DENSITY_CELLS = st.sampled_from([clt_module._DENSITY_CELLS, 7, 40])
+LOOP_ROWS = st.sampled_from([clt_module._LOOP_ROWS, 1, 4])
+
+
 @SETTINGS
-@given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_tree_density_equals_reference(n_vars, n_zero, seed):
+@given(st.integers(1, 9), st.integers(0, 3), LOOP_ROWS, st.integers(0, 2**32 - 1))
+def test_tree_density_equals_reference(n_vars, n_zero, loop_rows, seed):
     # bit for bit, since MPE tie-breaks read these sums: the tree's
     # variables sit in permuted columns among unused ones, and n_zero
     # CPT cells are 0, so the rows that hit one score -inf
@@ -108,8 +123,11 @@ def test_tree_density_equals_reference(n_vars, n_zero, seed):
     columns = rng.permutation(n_vars + 2)[:n_vars]
     x = rng.integers(0, 2, size=(32, n_vars + 2)).astype(np.uint8)
     want = ref_clt_log_density_rows(tree, x, columns)
-    assert clt_log_density_rows(tree, x, columns=columns).tobytes() == want.tobytes()
-    assert clt_log_density_rows(tree, x[:, columns]).tobytes() == want.tobytes()
+    for run in (
+        lambda: clt_log_density_rows(tree, x, columns=columns),
+        lambda: clt_log_density_rows(tree, x[:, columns]),
+    ):
+        assert _kernel_runs(run, _LOOP_ROWS=loop_rows).tobytes() == want.tobytes()
 
 
 @SETTINGS
@@ -186,14 +204,17 @@ def _leaf_trees(nets) -> list:
     return [node.tree for net in nets for node, _ in walk(net.root) if node.kind == "leaf"]
 
 
-def _kernel_runs(stack_cells: int, run):
-    """run() with the MPE kernel's stacks capped at `stack_cells` cells."""
-    kept = clt_module._MPE_CELLS
-    clt_module._MPE_CELLS = stack_cells
+def _kernel_runs(run, **caps):
+    """run() with the clt kernels' caps named in `caps`, such as
+    _MPE_CELLS, set to the values given."""
+    kept = {name: getattr(clt_module, name) for name in caps}
+    for name, value in caps.items():
+        setattr(clt_module, name, value)
     try:
         return run()
     finally:
-        clt_module._MPE_CELLS = kept
+        for name, value in kept.items():
+            setattr(clt_module, name, value)
 
 
 # the default cap, and one that splits the pairs of one leaf
@@ -210,7 +231,7 @@ def test_tree_mpe_in_any_order_with_zero_cells_equals_reference(n_vars, n_zero, 
     _any_parents_first_order(rng, tree)
     _zero_cells(rng, tree, n_zero)
     ev = _evidence(rng, ids, [])
-    got = _kernel_runs(cells, lambda: clt_mpe(tree, ev))
+    got = _kernel_runs(lambda: clt_mpe(tree, ev), _MPE_CELLS=cells)
     _assert_matches(got, lambda e: ref_clt_mpe(tree, e), ids, ev)
 
 
@@ -235,9 +256,70 @@ def test_wide_nets_and_mixtures_mpe_equals_reference(n_vars, n_components, n_zer
     ev = _evidence(rng, ids, _cut_vars(comps))
     if n_components == 1:
         net = comps[0]
-        got = _kernel_runs(cells, lambda: cnet_mpe(net, ev))
+        got = _kernel_runs(lambda: cnet_mpe(net, ev), _MPE_CELLS=cells)
         _assert_matches(got, lambda e: ref_cnet_mpe(net, e), ids, ev)
         return
     m = Mixture(comps, rng.dirichlet(np.ones(n_components)))
-    got = _kernel_runs(cells, lambda: _model_mpe(m, ev))
+    got = _kernel_runs(lambda: _model_mpe(m, ev), _MPE_CELLS=cells)
     _assert_matches(got, lambda e: ref_model_mpe(m, e), ids, ev)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 40),
+    DENSITY_CELLS,
+    LOOP_ROWS,
+    st.integers(0, 2**32 - 1),
+)
+def test_net_and_mixture_densities_equal_reference(
+    n_vars, n_components, n_zero, n_rows, cells, loop_rows, seed
+):
+    # bit for bit: up to 15 cuts, so many leaves, down to one variable,
+    # and with few rows some leaves that no row reaches; trees in any
+    # parents-first order; CPT cells and a branch weight of exactly 0, so
+    # some rows score -inf
+    rng = np.random.default_rng(seed)
+    ids = _scope(rng, n_vars)
+    comps = [random_net(rng, ids, 15) for _ in range(n_components)]
+    for tree in _leaf_trees(comps):
+        _any_parents_first_order(rng, tree)
+        _zero_cells(rng, tree, n_zero)
+    decisions = [node for net in comps for node, _ in walk(net.root) if node.kind != "leaf"]
+    if decisions and n_zero:
+        decisions[int(rng.integers(0, len(decisions)))].weights = np.array([0.0, 1.0])
+    x = rng.integers(0, 2, size=(n_rows, n_vars)).astype(np.uint8)
+    caps = dict(_DENSITY_CELLS=cells, _LOOP_ROWS=loop_rows)
+    if n_components == 1:
+        got = _kernel_runs(lambda: cnet_log_density_rows(comps[0], x), **caps)
+        want = ref_cnet_log_density_rows(comps[0], x)
+    else:
+        m = Mixture(comps, rng.dirichlet(np.ones(n_components)))
+        got = _kernel_runs(lambda: mixture_log_density_rows(m, x), **caps)
+        want = ref_mixture_log_density_rows(m, x)
+    assert got.tobytes() == want.tobytes()
+
+
+def _leaf_of(net, row):
+    path = induced_path(net, row)
+    return path[-1][0].children[path[-1][1]] if path else net.root
+
+
+def test_densities_over_many_stacks_equal_reference():
+    # at the default caps: 4,000 rows over a network of 32 leaves fill
+    # several stacks, and its larger leaves go one variable at a time
+    rng = np.random.default_rng(38)
+    ids = _scope(rng, 30)
+    net = random_net(rng, ids, 31)
+    x = rng.integers(0, 2, size=(4000, 30)).astype(np.uint8)
+    reached = Counter(id(_leaf_of(net, row)) for row in x)
+    cells = [
+        reached[id(node)] * node.tree.n_vars
+        for node, _ in walk(net.root)
+        if node.kind == "leaf" and reached[id(node)] < clt_module._LOOP_ROWS
+    ]
+    assert sum(cells) > 2 * clt_module._DENSITY_CELLS
+    assert max(reached.values()) >= clt_module._LOOP_ROWS
+    assert cnet_log_density_rows(net, x).tobytes() == ref_cnet_log_density_rows(net, x).tobytes()
